@@ -242,9 +242,6 @@ class AGrid:
     def neighbor_search(self, rect: Rect) -> list[int]:
         return self.neighbor_search_cells(self.cell_range(rect))[0]
 
-    def route_range(self, rect: Rect) -> list[int]:
-        return self.neighbor_search(rect)
-
 
 # -- partition geometry ----------------------------------------------------
 
@@ -441,6 +438,14 @@ class RouterSummaries:
         self.uview.pop(dst, None)
         self.expected_epoch[dst] = self.expected_epoch.get(dst, 0) - 1
 
+    def drop(self, pid: int) -> None:
+        """Forget a retired partition's sets; its epoch counter stays, since
+        a later reuse of the same id must continue from it."""
+        self.base.pop(pid, None)
+        self.regs.pop(pid, None)
+        self.kw_count.pop(pid, None)
+        self.uview.pop(pid, None)
+
     def _contains(self, pid: int, kw: str) -> bool:
         base = self.base.get(pid)
         if base and kw in base:
@@ -474,7 +479,6 @@ class RoutingDecision:
 
     targets: list[int]
     contribution: frozenset[str]
-    new_keywords: dict[int, frozenset[str]]
     entries: list[tuple[int, int, frozenset[str]]]  # (pid, seq, contribution)
 
 
@@ -505,15 +509,13 @@ class RoutingUnit:
         """
         targets = self.grid.neighbor_search(q.mbr)
         contribution = summary_contribution(q, self.cfg)
-        new_keywords: dict[int, frozenset[str]] = {}
         entries: list[tuple[int, int, frozenset[str]]] = []
         for pid in targets:
-            new_keywords[pid] = contribution - self.summaries.effective_set(pid)
             seq = self.reg_seq.get(pid, 0)
             self.reg_seq[pid] = seq + 1
             self.summaries.add_entry(pid, self.origin, seq, contribution)
             entries.append((pid, seq, contribution))
-        return RoutingDecision(targets, contribution, new_keywords, entries)
+        return RoutingDecision(targets, contribution, entries)
 
     def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str]) -> None:
         self.summaries.add_entry(pid, origin, seq, kws)

@@ -32,6 +32,7 @@ import numpy as np
 from .agrid import (
     AGrid,
     CellRect,
+    EmptyIntersectionError,
     GridGeometry,
     OutOfWorldError,
     dump_partitioning,
@@ -306,14 +307,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 s.drain()
                 pending = 0
         s.drain()
-        if mode in ("agrid", "uniform"):
+        if s.pm:
             s.trigger_stats()   # guarantees a final metrics row
             s.drain()
 
     _write_csv(out / "metrics.csv", METRICS_FIELDS, s.metrics)
     _write_csv(out / "decisions.csv", DECISIONS_FIELDS, s.decisions)
     wrote = [out / "metrics.csv", out / "decisions.csv", out / "results.txt"]
-    if mode in ("agrid", "uniform"):
+    if s.pm:
         grid = s.workers[s.coordinator].unit.grid
         (out / "partitioning.json").write_text(dump_partitioning(grid))
         wrote.append(out / "partitioning.json")
@@ -351,14 +352,11 @@ def _write_csv(path: Path, fields: tuple, rows: list[dict]) -> None:
 def _run_parallel(args: argparse.Namespace, cfg: SystemConfig,
                   pm: dict[int, CellRect] | None, events: list, out: Path,
                   n_objects: int, n_queries: int) -> int:
-    """Static threaded executor: one thread per partition, no rebalancing.
+    """Static single-thread executor: events go straight from the grid to
+    the evaluator states, with no runtime, summaries or rebalancing.
 
-    Match output order is nondeterministic across threads, so results are
-    sorted before writing; metrics and decision logs stay empty.
+    Results are written sorted; metrics and decision logs stay empty.
     """
-    import queue as queue_mod
-    import threading
-
     if cfg.mode not in ("agrid", "uniform"):
         raise ValueError("--parallel supports agrid and uniform modes only")
     if cfg.adaptive:
@@ -370,55 +368,26 @@ def _run_parallel(args: argparse.Namespace, cfg: SystemConfig,
     grid = AGrid(n, m, pm)
     states = {pid: EvaluatorState(pid, grid.geom, rect, cfg.summary)
               for pid, rect in pm.items()}
-    queues = {pid: queue_mod.Queue(maxsize=4096) for pid in pm}
     counters: Counter = Counter()
-    lock = threading.Lock()
     out_lines: list[str] = []
-
-    def work(pid: int) -> None:
-        st = states[pid]
-        q = queues[pid]
-        local = []
-        while True:
-            item = q.get()
-            if item is None:
-                break
-            tag, payload = item
-            if tag == "Q":
-                st.register_query(payload)
-            else:
-                local.extend(format_match(mr) for mr in st.process_object(payload))
-        with lock:
-            out_lines.extend(local)
-            counters["candidates"] += st.overall_cost
-
-    threads = [threading.Thread(target=work, args=(pid,), name=f"eval-{pid}")
-               for pid in sorted(pm)]
-    for t in threads:
-        t.start()
-    try:
-        for tag, item in events:
-            if tag == "Q":
-                try:
-                    crange = grid.cell_range(item.mbr)
-                except ValueError:
-                    counters["out_of_world"] += 1
-                    continue
-                for pid in grid.neighbor_search_cells(crange)[0]:
-                    queues[pid].put(("Q", item))
-            else:
-                try:
-                    pid = grid.route_point(item.loc)
-                except OutOfWorldError:
-                    counters["out_of_world"] += 1
-                    continue
-                counters["forwarded_objects"] += 1
-                queues[pid].put(("D", item))
-    finally:
-        for q in queues.values():
-            q.put(None)
-        for t in threads:
-            t.join()
+    for tag, item in events:
+        if tag == "Q":
+            try:
+                targets = grid.neighbor_search(item.mbr)
+            except EmptyIntersectionError:
+                counters["out_of_world"] += 1
+                continue
+            for pid in targets:
+                states[pid].register_query(item)
+        else:
+            try:
+                pid = grid.route_point(item.loc)
+            except OutOfWorldError:
+                counters["out_of_world"] += 1
+                continue
+            counters["forwarded_objects"] += 1
+            out_lines.extend(format_match(mr) for mr in states[pid].process_object(item))
+    counters["candidates"] = sum(st.overall_cost for st in states.values())
 
     out_lines.sort()
     (out / "results.txt").write_text("".join(line + "\n" for line in out_lines))
@@ -614,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="clean_interval", metavar="N",
                        help="evaluator deliveries between lazy-cleaning steps")
     run_p.add_argument("--parallel", action="store_true",
-                       help="threaded static executor (no adaptivity)")
+                       help="single-thread static executor without the "
+                            "runtime (agrid/uniform, no adaptivity)")
     run_p.set_defaults(func=cmd_run)
 
     bench_p = sub.add_parser("bench", help="routing op-count microbenchmark")

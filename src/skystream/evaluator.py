@@ -30,6 +30,7 @@ from .agrid import (
     GridGeometry,
     SummaryConfig,
     rect_cells,
+    rect_contains_cell,
     rect_intersect,
     summary_contribution,
 )
@@ -166,6 +167,8 @@ class EvaluatorState:
         self.contract_misses = 0
         # cleaning cursor: index into the row-major enumeration of owned cells
         self._cursor = 0
+        # no registered query expires before this; lowered on registration
+        self._expiry_floor = float("inf")
 
     # -- basic geometry ----------------------------------------------------
 
@@ -174,8 +177,7 @@ class EvaluatorState:
         return len(self.registry)
 
     def owns_cell(self, cell: tuple[int, int]) -> bool:
-        b = self.bounds
-        return b is not None and b[0] <= cell[0] <= b[2] and b[1] <= cell[1] <= b[3]
+        return self.bounds is not None and rect_contains_cell(self.bounds, cell)
 
     def owned_cell_count(self) -> int:
         return rect_cells(self.bounds) if self.bounds else 0
@@ -226,6 +228,7 @@ class EvaluatorState:
                 cell.inverted.setdefault(kw, set()).add(q.qid)
         if q.qid not in self.registry:
             self.registry[q.qid] = q
+            self._expiry_floor = min(self._expiry_floor, q.expiry)
         self.attach_count[q.qid] = self.attach_count.get(q.qid, 0) + 1
         self.col_q[coord[0]] += 1
         self.row_q[coord[1]] += 1
@@ -316,9 +319,10 @@ class EvaluatorState:
         b = self.bounds
         width = b[2] - b[0] + 1
         end = min(self._cursor + max(1, budget), total)
-        for k in range(self._cursor, end):
-            coord = (b[0] + k % width, b[1] + k // width)
-            self._evict_expired(coord, watermark)
+        if self._expiry_floor < watermark:  # else no query can be evicted yet
+            for k in range(self._cursor, end):
+                coord = (b[0] + k % width, b[1] + k // width)
+                self._evict_expired(coord, watermark)
         self._cursor = end
         if self._cursor >= total:
             self._cursor = 0
@@ -440,29 +444,9 @@ class EvaluatorState:
 
     # -- cell migration -----------------------------------------------------
 
-    def _remainder(self, region: CellRect) -> CellRect | None:
-        """Bounds left after removing `region`; must stay a rectangle."""
-        b = self.bounds
-        if b is None or rect_intersect(region, b) != region:
-            raise RegionMismatchError(f"{region} not inside {b}")
-        if region == b:
-            return None
-        x0, y0, x1, y1 = b
-        if region[0] == x0 and region[2] == x1:  # horizontal strip
-            if region[1] == y0:
-                return (x0, region[3] + 1, x1, y1)
-            if region[3] == y1:
-                return (x0, y0, x1, region[1] - 1)
-        if region[1] == y0 and region[3] == y1:  # vertical strip
-            if region[0] == x0:
-                return (region[2] + 1, y0, x1, y1)
-            if region[2] == x1:
-                return (x0, y0, region[0] - 1, y1)
-        raise RegionMismatchError(f"removing {region} from {b} leaves a non-rectangle")
-
     def extract_cells(self, region: CellRect) -> CellBatch:
         """Remove a boundary strip (or everything) and return it as a batch."""
-        remainder = self._remainder(region)
+        remainder = strip_remainder(self.bounds, region)
         cells: list[tuple[tuple[int, int], int, list[int]]] = []
         records: dict[int, ContinuousQuery] = {}
         for coord in iter_region(region):
@@ -484,17 +468,7 @@ class EvaluatorState:
             self.row_cost[coord[1]] -= cell.cost
             self.overall_cost -= cell.cost
         for qid in sorted(cell.qids):
-            q = self.registry[qid]
-            self.col_q[coord[0]] -= 1
-            self.row_q[coord[1]] -= 1
-            self.overall_q -= 1
-            self.summary_counts.subtract(summary_contribution(q, self.summary_cfg))
-            remaining = self.attach_count[qid] - 1
-            if remaining:
-                self.attach_count[qid] = remaining
-            else:
-                del self.attach_count[qid]
-                del self.registry[qid]
+            self._detach(qid, cell, coord)
 
     def absorb_cells(self, batch: CellBatch) -> None:
         """Merge a migrated region into this evaluator."""
@@ -502,9 +476,9 @@ class EvaluatorState:
         if self.bounds is None:
             new_bounds = region
         else:
-            new_bounds = _union_rect(self.bounds, region)
+            new_bounds = union_rect(self.bounds, region)
         for coord, cost, qids in batch.cells:
-            if not rect_contains_region_cell(region, coord):
+            if not rect_contains_cell(region, coord):
                 raise RegionMismatchError(f"cell {coord} outside batch region {region}")
             cell = self._cell(coord)
             if cost:
@@ -520,11 +494,27 @@ class EvaluatorState:
         self._cursor = 0
 
 
-def rect_contains_region_cell(region: CellRect, coord: tuple[int, int]) -> bool:
-    return region[0] <= coord[0] <= region[2] and region[1] <= coord[1] <= region[3]
+def strip_remainder(rect: CellRect | None, strip: CellRect) -> CellRect | None:
+    """`rect` minus a boundary strip, which must leave a rectangle or None."""
+    if rect is None or rect_intersect(strip, rect) != strip:
+        raise RegionMismatchError(f"{strip} not inside {rect}")
+    if strip == rect:
+        return None
+    x0, y0, x1, y1 = rect
+    if strip[0] == x0 and strip[2] == x1:  # horizontal strip
+        if strip[1] == y0:
+            return (x0, strip[3] + 1, x1, y1)
+        if strip[3] == y1:
+            return (x0, y0, x1, strip[1] - 1)
+    if strip[1] == y0 and strip[3] == y1:  # vertical strip
+        if strip[0] == x0:
+            return (strip[2] + 1, y0, x1, y1)
+        if strip[2] == x1:
+            return (x0, y0, strip[0] - 1, y1)
+    raise RegionMismatchError(f"removing {strip} from {rect} leaves a non-rectangle")
 
 
-def _union_rect(a: CellRect, b: CellRect) -> CellRect:
+def union_rect(a: CellRect, b: CellRect) -> CellRect:
     """Union of two cell rects that must form a rectangle (adjacent, aligned)."""
     if a[1] == b[1] and a[3] == b[3] and (a[2] + 1 == b[0] or b[2] + 1 == a[0]):
         return (min(a[0], b[0]), a[1], max(a[2], b[2]), a[3])

@@ -46,7 +46,7 @@ from .agrid import (
     RoutingUnit,
     SummaryConfig,
     WORLD_UNIT,
-    rect_cells,
+    rect_contains_cell,
     rect_intersect,
     summary_contribution,
     uniform_partitioning,
@@ -54,10 +54,12 @@ from .agrid import (
 from .balancer import OpKind, RebalanceOp, WorkloadSnapshot, select_rebalance_op
 from .evaluator import (
     CellBatch,
+    CellIndex,
     EvaluatorState,
     NoImprovementError,
     iter_region,
-    rect_contains_region_cell,
+    strip_remainder,
+    union_rect,
 )
 from .model import (
     ContinuousQuery,
@@ -72,7 +74,6 @@ from .model import (
 __all__ = [
     "MsgKind",
     "Message",
-    "Phase",
     "ProtocolViolation",
     "Scheduler",
     "SystemConfig",
@@ -107,12 +108,6 @@ class Message:
     kind: MsgKind
     payload: dict
     seq: int  # per-channel, strictly increasing from 0
-
-
-class Phase(Enum):
-    NORMAL = "Normal"
-    CELL_TRANSFER = "CellTransfer"
-    ROUTING_UPDATE = "RoutingUpdate"
 
 
 @dataclass
@@ -228,48 +223,26 @@ def _side_of(src: CellRect, dst: CellRect) -> str:
     raise ProtocolViolation(f"{src} and {dst} are not edge neighbors")
 
 
-def _strip_remainder(rect: CellRect, strip: CellRect) -> CellRect | None:
-    """Rect minus a boundary strip; None when the strip is everything."""
-    if strip == rect:
-        return None
-    x0, y0, x1, y1 = rect
-    if strip[0] == x0 and strip[2] == x1:
-        if strip[1] == y0:
-            return (x0, strip[3] + 1, x1, y1)
-        if strip[3] == y1:
-            return (x0, y0, x1, strip[1] - 1)
-    if strip[1] == y0 and strip[3] == y1:
-        if strip[0] == x0:
-            return (strip[2] + 1, y0, x1, y1)
-        if strip[2] == x1:
-            return (x0, y0, strip[0] - 1, y1)
-    raise ProtocolViolation(f"{strip} is not a boundary strip of {rect}")
-
-
-def _rect_union(a: CellRect, b: CellRect) -> CellRect:
-    u = (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-    if rect_cells(u) != rect_cells(a) + rect_cells(b):
-        raise ProtocolViolation(f"{a} and {b} do not union into a rectangle")
-    return u
-
-
 # -- router ---------------------------------------------------------------------------
 
 
 class RouterWorker:
-    """One routing replica; replica 0 doubles as the rebalance coordinator."""
+    """One routing replica; replica 0 doubles as the rebalance coordinator.
+
+    Routes by cell ownership. The other modes' subclasses override the data
+    path only; they hold no grid and are sent no summary or map traffic.
+    """
 
     def __init__(self, name: str, index: int, system: "System"):
         self.name = name
         self.index = index
         self.sys = system
         cfg = system.cfg
-        if cfg.mode in ("agrid", "uniform"):
+        self.unit: RoutingUnit | None = None
+        if system.pm:
             grid = AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm), generation=0)
-            self.unit: RoutingUnit | None = RoutingUnit(index, grid, cfg.summary)
-        else:
-            self.unit = None
-        self.use_summaries = cfg.mode == "agrid"
+            self.unit = RoutingUnit(index, grid, cfg.summary)
+        self.use_summaries = system.use_summaries
         self.retired: set[int] = set()
         # coordinator state, used on replica 0 only
         self.op: RebalanceOp | None = None
@@ -293,8 +266,7 @@ class RouterWorker:
         elif msg.kind is MsgKind.QUERY:
             self.route_query(p["query"])
         elif msg.kind is MsgKind.KEYWORD_FORWARD:
-            if self.unit is not None:
-                self.unit.apply_keyword_forward(p["origin"], p["pid"], p["seq"], p["kws"])
+            self.unit.apply_keyword_forward(p["origin"], p["pid"], p["seq"], p["kws"])
         elif msg.kind is MsgKind.SUMMARY_REFRESH:
             self.apply_refresh(p)
         elif msg.kind is MsgKind.PARTITION_UPDATE:
@@ -308,49 +280,36 @@ class RouterWorker:
 
     # -- data path ----------------------------------------------------------------
 
-    def route_object(self, o: SpatialKeywordObject) -> None:
+    @staticmethod
+    def check_query(q: ContinuousQuery) -> None:
+        """Reject, at ingest, a query this mode cannot serve."""
+
+    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
+        """Evaluators that must see `o`; empty when none can match it."""
         sys = self.sys
-        mode = sys.cfg.mode
-        if mode == "broadcast":
-            sys.note_extra_inflight(o.ts, len(sys.evaluator_names) - 1)
-            for ename in sys.evaluator_names:
-                sys.send(self.name, ename, MsgKind.DATA_OBJECT, obj=o)
-            sys.counters["forwarded_objects"] += len(sys.evaluator_names)
-            return
-        if mode == "textual":
-            targets = sorted({sys.keyword_evaluator(kw) for kw in o.text})
-            if not targets:
-                sys.retire(o.ts)
-                return
-            sys.note_extra_inflight(o.ts, len(targets) - 1)
-            for idx in targets:
-                sys.send(self.name, f"e{idx}", MsgKind.DATA_OBJECT, obj=o)
-            sys.counters["forwarded_objects"] += len(targets)
-            return
         try:
             pid = self.unit.route_point(o.loc)
         except OutOfWorldError:
             sys.counters["out_of_world"] += 1
-            sys.retire(o.ts)
-            return
+            return []
         if self.use_summaries and not self.unit.should_forward_object(o.text, pid):
             sys.counters["dropped_by_summary"] += 1
+            return []
+        return [f"e{pid}"]
+
+    def route_object(self, o: SpatialKeywordObject) -> None:
+        sys = self.sys
+        targets = self.object_targets(o)
+        if not targets:
             sys.retire(o.ts)
             return
-        sys.counters["forwarded_objects"] += 1
-        sys.send(self.name, f"e{pid}", MsgKind.DATA_OBJECT, obj=o)
+        sys.note_extra_inflight(o.ts, len(targets) - 1)
+        for ename in targets:
+            sys.send(self.name, ename, MsgKind.DATA_OBJECT, obj=o)
+        sys.counters["forwarded_objects"] += len(targets)
 
     def route_query(self, q: ContinuousQuery) -> None:
         sys = self.sys
-        mode = sys.cfg.mode
-        if mode == "broadcast":
-            ename = sys.evaluator_names[q.qid % len(sys.evaluator_names)]
-            sys.send(self.name, ename, MsgKind.QUERY, query=q, origin=None, seq=0)
-            return
-        if mode == "textual":
-            for idx in sorted({sys.keyword_evaluator(kw) for kw in q.text}):
-                sys.send(self.name, f"e{idx}", MsgKind.QUERY, query=q, origin=None, seq=0)
-            return
         decision = self.unit.register_query(q)
         if not decision.targets:
             sys.counters["out_of_world"] += 1
@@ -367,30 +326,23 @@ class RouterWorker:
     # -- summary and map maintenance -------------------------------------------------
 
     def apply_refresh(self, p: dict) -> None:
-        if self.unit is not None:
-            pid = p["pid"]
-            chained = self.unit.summaries.uview.get(pid)
-            self.unit.apply_refresh(pid, p["kws"], p["vector"], p["epoch"])
-            if (chained is not None and pid not in self.unit.summaries.uview
-                    and chained in self.retired):
-                # the dropped union view was the last live reference to a
-                # retired partition; drop its sets but keep its epoch counter,
-                # which must survive a later reuse of the same id
-                s = self.unit.summaries
-                s.base.pop(chained, None)
-                s.regs.pop(chained, None)
-                s.kw_count.pop(chained, None)
-                s.uview.pop(chained, None)
+        pid = p["pid"]
+        summaries = self.unit.summaries
+        chained = summaries.uview.get(pid)
+        self.unit.apply_refresh(pid, p["kws"], p["vector"], p["epoch"])
+        if chained is not None and pid not in summaries.uview and chained in self.retired:
+            # the dropped union view was the last live reference to a
+            # retired partition
+            summaries.drop(chained)
         if p.get("flush_of") is not None:
             self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                           verb="refresh_ack", op_id=p["flush_of"], pid=p["pid"],
                           router=self.name)
 
     def apply_partition_update(self, p: dict) -> None:
-        if self.unit is not None:
-            self.retired |= set(self.unit.grid.pm) - set(p["pm"])
-            self.retired -= set(p["pm"])
-            self.unit.apply_partition_update(p["pm"], p["generation"])
+        self.retired |= set(self.unit.grid.pm) - set(p["pm"])
+        self.retired -= set(p["pm"])
+        self.unit.apply_partition_update(p["pm"], p["generation"])
         self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                       verb="pm_ack", generation=p["generation"], router=self.name)
 
@@ -484,12 +436,10 @@ class RouterWorker:
     def handle_command(self, p: dict) -> None:
         verb = p["verb"]
         if verb == "premerge":
-            if self.unit is not None:
-                self.unit.summaries.premerge(p["dst"], p["src"])
+            self.unit.summaries.premerge(p["dst"], p["src"])
             return
         if verb == "cancel_premerge":
-            if self.unit is not None:
-                self.unit.summaries.cancel_premerge(p["dst"])
+            self.unit.summaries.cancel_premerge(p["dst"])
             return
         if self.index != 0:
             raise ProtocolViolation(f"non-coordinator {self.name} got {verb!r}")
@@ -534,13 +484,13 @@ class RouterWorker:
         sys = self.sys
         pm = dict(sys.pm)
         for t in self.op_transfers.values():
-            remainder = _strip_remainder(pm[t["src"]], t["region"])
+            remainder = strip_remainder(pm[t["src"]], t["region"])
             if remainder is None:
                 del pm[t["src"]]
             else:
                 pm[t["src"]] = remainder
             if t["dst"] in pm:
-                pm[t["dst"]] = _rect_union(pm[t["dst"]], t["region"])
+                pm[t["dst"]] = union_rect(pm[t["dst"]], t["region"])
             else:
                 pm[t["dst"]] = t["region"]
         sys.pm = pm
@@ -564,53 +514,16 @@ class RouterWorker:
 # -- evaluator ---------------------------------------------------------------------
 
 
-class TextualIndex:
-    """Flat inverted index for the keyword-partitioned mode."""
-
-    def __init__(self) -> None:
-        self.inverted: dict[str, set[int]] = {}
-        self.registry: dict[int, ContinuousQuery] = {}
-
-    def register(self, q: ContinuousQuery, kws: set[str]) -> None:
-        for kw in kws:
-            self.inverted.setdefault(kw, set()).add(q.qid)
-        if kws:
-            self.registry[q.qid] = q
-
-    def candidates(self, o_text: frozenset[str]) -> set[int]:
-        out: set[int] = set()
-        for kw in o_text:
-            hits = self.inverted.get(kw)
-            if hits:
-                out |= hits
-        return out
-
-    def clean(self, watermark: int) -> None:
-        doomed = [qid for qid, q in self.registry.items() if q.expiry < watermark]
-        for qid in doomed:
-            q = self.registry.pop(qid)
-            for kw in q.text:
-                hits = self.inverted.get(kw)
-                if hits is not None:
-                    hits.discard(qid)
-                    if not hits:
-                        del self.inverted[kw]
-
-
 class EvaluatorWorker:
+    """Per-cell indexes over this evaluator's region, plus cell transfers."""
+
     def __init__(self, name: str, index: int, system: "System"):
         self.name = name
         self.index = index
         self.sys = system
         cfg = system.cfg
         geom = GridGeometry(cfg.grid_n, cfg.grid_m, system.world)
-        if cfg.mode == "broadcast":
-            bounds: CellRect | None = (0, 0, cfg.grid_n - 1, cfg.grid_m - 1)
-        else:
-            bounds = system.pm.get(index)
-        self.state = EvaluatorState(index, geom, bounds, cfg.summary)
-        self.tindex = TextualIndex() if cfg.mode == "textual" else None
-        self.use_summaries = cfg.mode == "agrid"
+        self.state = EvaluatorState(index, geom, system.pm.get(index), cfg.summary)
         self.reg_seen: dict[tuple, int] = {}
         self.own_seq = 0
         self.epoch = 0
@@ -619,14 +532,6 @@ class EvaluatorWorker:
         self.forward_table: list[tuple[CellRect, str]] = []
         self.window_cost = 0
         self.delivered = 0
-
-    @property
-    def phase(self) -> Phase:
-        if self.transient is not None:
-            return Phase.ROUTING_UPDATE if self.transient.extracted else Phase.CELL_TRANSFER
-        if self.staging is not None:
-            return Phase.CELL_TRANSFER
-        return Phase.NORMAL
 
     @property
     def origin(self) -> tuple:
@@ -660,26 +565,13 @@ class EvaluatorWorker:
 
     def handle_object(self, o: SpatialKeywordObject) -> None:
         sys = self.sys
-        if self.tindex is not None:
-            cand = self.tindex.candidates(o.text)
-            sys.counters["candidates"] += len(cand)
-            out = []
-            for qid in sorted(cand):
-                q = self.tindex.registry[qid]
-                if o.ts <= q.expiry and matches(o, q):
-                    shared = sorted(o.text & q.text)
-                    if sys.keyword_evaluator(shared[0]) == self.index:
-                        out.append(MatchResult(qid, o.oid, o.ts))
-            sys.emit(out)
-            sys.retire(o.ts)
-            return
         st = self.state
         coord = st.geom.cell_of(o.loc)
         if not st.owns_cell(coord):
             # newest entry wins: it names the worker this cell left for last,
             # so every hop advances in migration history and chains terminate
             for region, peer in reversed(self.forward_table):
-                if rect_contains_region_cell(region, coord):
+                if rect_contains_cell(region, coord):
                     sys.counters["forwarded_tuples"] += 1
                     sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
                              inner="object", obj=o)
@@ -687,24 +579,21 @@ class EvaluatorWorker:
             raise ProtocolViolation(
                 f"{self.name} got object at cell {coord} outside {st.bounds} "
                 "with no forwarding entry")
-        if sys.cfg.mode == "broadcast":
-            sys.counters["candidates"] += len(st.registry)
         before = st.overall_cost
         out = st.process_object(o)
         delta = st.overall_cost - before
         self.window_cost += delta
-        if sys.cfg.mode != "broadcast":
-            sys.counters["candidates"] += delta
+        sys.counters["candidates"] += self.candidate_charge(delta)
         sys.emit(out)
         sys.retire(o.ts)
+
+    def candidate_charge(self, cost_delta: int) -> int:
+        """Candidates one object counts: the queries its cell lists pulled."""
+        return cost_delta
 
     # -- queries --------------------------------------------------------------------
 
     def handle_query(self, q: ContinuousQuery, origin: tuple | None, seq: int) -> None:
-        if self.tindex is not None:
-            mine = {kw for kw in q.text if self.sys.keyword_evaluator(kw) == self.index}
-            self.tindex.register(q, mine)
-            return
         self.state.register_query(q)
         if origin is not None:
             prev = self.reg_seen.get(origin, -1)
@@ -721,8 +610,7 @@ class EvaluatorWorker:
             # incoming-region cells are still staged; register after absorbing
             if all(sq.qid != q.qid for sq in self.staging.queries):
                 self.staging.queries.append(q)
-        added = self.state.register_query(q)
-        if added and self.use_summaries:
+        if self.state.register_query(q):
             self.broadcast_own_registration(q)
         chase = None if cells is None else frozenset(cells)
         self.after_register(q, chase)
@@ -765,7 +653,7 @@ class EvaluatorWorker:
                 claimed.add(c)
                 if self.state.owns_cell(c):
                     continue
-                if stg is not None and rect_contains_region_cell(stg.region, c):
+                if stg is not None and rect_contains_cell(stg.region, c):
                     continue  # cell is inbound; the staged copy registers it
                 targets.setdefault(peer, []).append(c)
         for peer, cs in targets.items():
@@ -872,7 +760,7 @@ class EvaluatorWorker:
         stg = self.staging
         if stg is None or stg.op_id != p["op_id"]:
             raise ProtocolViolation(f"{self.name} got a stray cell batch")
-        if not rect_contains_region_cell(stg.region, p["coord"]):
+        if not rect_contains_cell(stg.region, p["coord"]):
             raise ProtocolViolation(f"cell {p['coord']} outside {stg.region}")
         stg.cells.append((p["coord"], p["cost"], p["qids"]))
         stg.records.update(p["records"])
@@ -886,8 +774,7 @@ class EvaluatorWorker:
         self.staging = None
         region_cells = frozenset(iter_region(stg.region))
         for q in stg.queries:
-            added = self.state.register_query(q)
-            if added and self.use_summaries:
+            if self.state.register_query(q):
                 self.broadcast_own_registration(q)
             self.after_register(q, region_cells)
         self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
@@ -896,15 +783,12 @@ class EvaluatorWorker:
     # -- cleaning -------------------------------------------------------------------
 
     def maybe_clean(self) -> None:
-        wm = self.sys.watermark()
-        if self.tindex is not None:
-            self.tindex.clean(wm)
-            return
-        if self.phase is not Phase.NORMAL or self.state.bounds is None:
-            return
+        if (self.transient is not None or self.staging is not None
+                or self.state.bounds is None):
+            return  # mid-transfer, or owning nothing
         budget = max(1, self.state.owned_cell_count() // 32)
-        kws = self.state.cleaning_step(wm, budget)
-        if kws is not None and self.use_summaries:
+        kws = self.state.cleaning_step(self.sys.watermark(), budget)
+        if kws is not None and self.sys.use_summaries:
             self.broadcast_refresh(flush_of=None)
 
     def broadcast_refresh(self, flush_of: int | None) -> None:
@@ -917,6 +801,102 @@ class EvaluatorWorker:
         )
         for rname in self.sys.router_names:
             self.sys.send(self.name, rname, MsgKind.SUMMARY_REFRESH, **payload)
+
+
+# -- baselines that are not spatio-textually aware ------------------------------------
+
+
+class BroadcastRouter(RouterWorker):
+    """Every object goes to every evaluator; queries are spread by qid."""
+
+    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
+        return self.sys.evaluator_names
+
+    def route_query(self, q: ContinuousQuery) -> None:
+        names = self.sys.evaluator_names
+        self.sys.send(self.name, names[q.qid % len(names)], MsgKind.QUERY,
+                      query=q, origin=None, seq=0)
+
+
+class BroadcastEvaluator(EvaluatorWorker):
+    """Owns the whole grid, so every resident query is a candidate."""
+
+    def __init__(self, name: str, index: int, system: "System"):
+        super().__init__(name, index, system)
+        self.state.bounds = (0, 0, system.cfg.grid_n - 1, system.cfg.grid_m - 1)
+
+    def candidate_charge(self, cost_delta: int) -> int:
+        return len(self.state.registry)
+
+
+class TextualRouter(RouterWorker):
+    """Keyword partitioning: each keyword hashes to one evaluator."""
+
+    @staticmethod
+    def check_query(q: ContinuousQuery) -> None:
+        if q.predicate is Predicate.INSIDE or not q.text:
+            raise ValueError("textual mode serves keyword predicates only")
+
+    def keyword_targets(self, text: frozenset[str]) -> list[str]:
+        return [f"e{idx}" for idx in sorted({self.sys.keyword_evaluator(kw) for kw in text})]
+
+    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
+        return self.keyword_targets(o.text)
+
+    def route_query(self, q: ContinuousQuery) -> None:
+        for ename in self.keyword_targets(q.text):
+            self.sys.send(self.name, ename, MsgKind.QUERY, query=q, origin=None, seq=0)
+
+
+class TextualEvaluator(EvaluatorWorker):
+    """A flat inverted index over the keywords that hash to this evaluator.
+
+    A match is emitted only by the evaluator of the smallest keyword the
+    object and query share, so each is reported once.
+    """
+
+    def __init__(self, name: str, index: int, system: "System"):
+        super().__init__(name, index, system)
+        self.flat = CellIndex()
+        self.registry: dict[int, ContinuousQuery] = {}
+
+    def handle_object(self, o: SpatialKeywordObject) -> None:
+        sys = self.sys
+        cand = self.flat.candidates(o.text)
+        sys.counters["candidates"] += len(cand)
+        out = []
+        for qid in sorted(cand):
+            q = self.registry[qid]
+            if (o.ts <= q.expiry and matches(o, q)
+                    and sys.keyword_evaluator(min(o.text & q.text)) == self.index):
+                out.append(MatchResult(qid, o.oid, o.ts))
+        sys.emit(out)
+        sys.retire(o.ts)
+
+    def handle_query(self, q: ContinuousQuery, origin: tuple | None, seq: int) -> None:
+        for kw in q.text:
+            if self.sys.keyword_evaluator(kw) == self.index:
+                self.flat.inverted.setdefault(kw, set()).add(q.qid)
+        self.registry[q.qid] = q
+
+    def maybe_clean(self) -> None:
+        wm = self.sys.watermark()
+        for qid in [qid for qid, q in self.registry.items() if q.expiry < wm]:
+            for kw in self.registry.pop(qid).text:
+                hits = self.flat.inverted.get(kw)
+                if hits is not None:
+                    hits.discard(qid)
+                    if not hits:
+                        del self.flat.inverted[kw]
+
+
+# mode -> (router class, evaluator class)
+WORKERS: dict[str, tuple[type[RouterWorker], type[EvaluatorWorker]]] = {
+    "agrid": (RouterWorker, EvaluatorWorker),
+    "uniform": (RouterWorker, EvaluatorWorker),
+    "broadcast": (BroadcastRouter, BroadcastEvaluator),
+    "textual": (TextualRouter, TextualEvaluator),
+}
 
 
 # -- the system ---------------------------------------------------------------------
@@ -934,16 +914,20 @@ class System:
         self.cfg = cfg
         self.world: Rect = WORLD_UNIT
         n, m, e = cfg.grid_n, cfg.grid_m, cfg.evaluators
+        router_cls, evaluator_cls = WORKERS[cfg.mode]
+        # the spatially unaware modes keep an empty partitions map
+        self.pm: dict[int, CellRect] = {}
         if cfg.mode in ("agrid", "uniform"):
             self.pm = dict(pm) if pm is not None else uniform_partitioning(n, m, e)
             if not set(self.pm) <= set(range(e)):
                 raise ValueError("partition ids must be evaluator indices")
-        else:
-            self.pm = {}
         self.generation = 0
-        self.spare: int | None = e if cfg.mode == "agrid" else None
+        # agrid alone keeps router keyword summaries and a spare evaluator
+        # for split-merge rebalancing
+        self.use_summaries = cfg.mode == "agrid"
+        self.spare: int | None = e if self.use_summaries else None
         self.router_names = [f"r{i}" for i in range(cfg.routers)]
-        worker_count = e + 1 if cfg.mode == "agrid" else e
+        worker_count = e + 1 if self.use_summaries else e
         self.evaluator_names = [f"e{i}" for i in range(worker_count)]
         self.coordinator = "r0"
         self.on_match = on_match
@@ -962,11 +946,12 @@ class System:
         self.now = 0
         self._wm_heap: list[int] = []
         self._wm_dead: Counter = Counter()
+        self.check_query = router_cls.check_query
         self.workers: dict[str, Any] = {}
         for i, rname in enumerate(self.router_names):
-            self.workers[rname] = RouterWorker(rname, i, self)
+            self.workers[rname] = router_cls(rname, i, self)
         for i, ename in enumerate(self.evaluator_names):
-            self.workers[ename] = EvaluatorWorker(ename, i, self)
+            self.workers[ename] = evaluator_cls(ename, i, self)
 
     # -- transport ------------------------------------------------------------------
 
@@ -998,8 +983,7 @@ class System:
         if key is None:
             return False
         self._deliver(key)
-        if (self.delivered_total % self.cfg.stats_cadence == 0
-                and self.cfg.mode in ("agrid", "uniform")):
+        if self.delivered_total % self.cfg.stats_cadence == 0 and self.pm:
             self.workers[self.coordinator].request_stats()
         return True
 
@@ -1038,8 +1022,7 @@ class System:
         self.send("in", self._pick_router(), MsgKind.DATA_OBJECT, obj=o)
 
     def ingest_query(self, q: ContinuousQuery) -> None:
-        if self.cfg.mode == "textual" and (q.predicate is Predicate.INSIDE or not q.text):
-            raise ValueError("textual mode serves keyword predicates only")
+        self.check_query(q)
         self.send("in", self._pick_router(), MsgKind.QUERY, query=q)
 
     # -- object-liveness watermark -------------------------------------------------------

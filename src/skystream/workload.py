@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 from .model import ContinuousQuery, Point, Predicate, Rect, SpatialKeywordObject
@@ -102,16 +103,20 @@ def percentile_window(vocab_size: int, p: float) -> tuple[int, int]:
     return lo, lo + w
 
 
-def _object_weights(vocab) -> list[float]:
+def _object_weights(vocab) -> tuple[list[float], int]:
+    """Cumulative object-keyword weights (so a draw does not re-sum the
+    vocabulary) and the number of drawable tokens."""
     w = reserved_window(len(vocab))
-    return [0.0] * w + [f for _, f in vocab[w:]]
+    weights = [0.0] * w + [f for _, f in vocab[w:]]
+    return list(accumulate(weights)), sum(1 for f in weights if f > 0)
 
 
-def _draw_distinct(rng: random.Random, tokens, weights, k: int) -> frozenset[str]:
-    k = min(k, sum(1 for w in weights if w > 0))
+def _draw_distinct(rng: random.Random, tokens, cum_weights, drawable: int,
+                   k: int) -> frozenset[str]:
+    k = min(k, drawable)
     out: set[str] = set()
     while len(out) < k:
-        out.update(rng.choices(tokens, weights, k=k - len(out)))
+        out.update(rng.choices(tokens, cum_weights=cum_weights, k=k - len(out)))
     return frozenset(out)
 
 
@@ -139,12 +144,12 @@ def generate(spec: WorkloadSpec) -> tuple[list[SpatialKeywordObject], list[Conti
     rng = random.Random(spec.seed)
     vocab = spec.keyword_vocab if spec.keyword_vocab is not None else synthetic_vocab()
     tokens = [t for t, _ in vocab]
-    oweights = _object_weights(vocab)
+    ocum, drawable = _object_weights(vocab)
 
     objects = []
     for i in range(1, spec.object_count + 1):
         loc = _draw_point(rng, TWEET_CENTERS)
-        text = _draw_distinct(rng, tokens, oweights, spec.object_keywords)
+        text = _draw_distinct(rng, tokens, ocum, drawable, spec.object_keywords)
         objects.append(SpatialKeywordObject(i, loc, text, i))
 
     queries = []
@@ -157,7 +162,7 @@ def generate(spec: WorkloadSpec) -> tuple[list[SpatialKeywordObject], list[Conti
             lo, hi = percentile_window(len(vocab), spec.selectivity_percentile)
             kws = frozenset(rng.sample(tokens[lo:hi], min(spec.query_keywords, hi - lo)))
         else:
-            kws = _draw_distinct(rng, tokens, oweights, spec.query_keywords)
+            kws = _draw_distinct(rng, tokens, ocum, drawable, spec.query_keywords)
         queries.append(ContinuousQuery(
             qid, square_mbr(center, spec.query_side_fraction),
             kws, spec.predicate, spec.expiry))

@@ -279,10 +279,15 @@ class TestRoutingUnit:
         u = self.unit()
         q1 = make_query(qid=1)
         q2 = make_query(qid=2)
-        d1 = u.register_query(q1)
-        d2 = u.register_query(q2)
-        assert any(d1.new_keywords.values())
-        assert not any(d2.new_keywords.values())
+        def sets():
+            return {pid: u.summaries.effective_set(pid) for pid in u.grid.pm}
+
+        empty = sets()
+        u.register_query(q1)
+        after_q1 = sets()
+        u.register_query(q2)
+        assert after_q1 != empty
+        assert sets() == after_q1
 
     def test_replicas_converge(self):
         a, b = self.unit(0), self.unit(1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -173,6 +174,38 @@ class TestGenerate:
             d = min(math.hypot(cx - c.x, cy - c.y) for c, _, _ in TWEET_CENTERS)
             near += d < 0.3
         assert near >= 135
+
+
+def stream_digest(spec: WorkloadSpec) -> str:
+    objects, queries = generate(spec)
+    lines = [f"D {o.oid} {o.loc.x!r} {o.loc.y!r} {o.ts} {','.join(sorted(o.text))}"
+             for o in objects]
+    lines += [f"Q {q.qid} {q.mbr.xmin!r} {q.mbr.ymin!r} {q.mbr.xmax!r} {q.mbr.ymax!r} "
+              f"{q.predicate.name} {q.expiry} {','.join(sorted(q.text))}"
+              for q in queries]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestStreamDigest:
+    """Pinned streams: generator speed-ups must not change any draw."""
+
+    @pytest.mark.parametrize("kind,seed,want", [
+        ("NormalTweets", 0, "1837bfcf09ad2161"),
+        ("NormalTweets", 7, "9e46eea9e2c5a6e4"),
+        ("SpatiallySkewed", 0, "475690047272376c"),
+        ("SpatiallySkewed", 7, "00902bf67d5f6667"),
+        ("TextuallySelective", 0, "4225d98575aefdca"),
+        ("TextuallySelective", 7, "a73f3503e3dc24ba"),
+    ])
+    def test_default_vocabulary(self, kind, seed, want):
+        assert stream_digest(spec(kind=kind, object_count=150, query_count=40,
+                                  seed=seed)) == want
+
+    def test_vocabulary_smaller_than_the_keyword_count(self):
+        # 3 tokens, one reserved: every object and query draw is capped at 2
+        s = spec(object_count=60, query_count=20, seed=3,
+                 keyword_vocab=synthetic_vocab(3), object_keywords=3, query_keywords=3)
+        assert stream_digest(s) == "21e060d20fbd3423"
 
 
 class TestScaleFactor:
