@@ -132,7 +132,6 @@ class AGrid:
         pm: dict[int, CellRect],
         world: Rect = WORLD_UNIT,
         generation: int = 0,
-        validate: bool = True,
     ):
         self.n = n
         self.m = m
@@ -141,8 +140,7 @@ class AGrid:
         self.generation = generation
         self.pm: dict[int, CellRect] = dict(pm)
         self.cell_owner = self._build_owner(n, m, self.pm)
-        if validate:
-            self.validate()
+        self.validate()
         self._visited: dict[int, int] = {}
         self._epoch = 0
 
@@ -358,12 +356,10 @@ class SummaryConfig:
     contains_mode:
       "filter_lex"    CONTAINS queries contribute one filter keyword, the
                       lexicographically smallest (deterministic, no stats).
-      "filter_rarest" one keyword again, the rarest per `freq` (ties lex).
       "full"          all keywords (baseline for traffic comparisons).
     """
 
     contains_mode: str = "filter_lex"
-    freq: dict[str, int] | None = None
 
 
 def summary_contribution(q: ContinuousQuery, cfg: SummaryConfig = SummaryConfig()) -> frozenset[str]:
@@ -378,8 +374,6 @@ def summary_contribution(q: ContinuousQuery, cfg: SummaryConfig = SummaryConfig(
         return frozenset((ANY_KEYWORD,))
     if q.predicate is Predicate.OVERLAPS or cfg.contains_mode == "full":
         return q.text
-    if cfg.contains_mode == "filter_rarest" and cfg.freq:
-        return frozenset((min(q.text, key=lambda k: (cfg.freq.get(k, 0), k)),))
     return frozenset((min(q.text),))
 
 
@@ -433,10 +427,6 @@ class RouterSummaries:
     def premerge(self, dst: int, src: int) -> None:
         self.uview[dst] = src
         self.expected_epoch[dst] = self.expected_epoch.get(dst, 0) + 1
-
-    def cancel_premerge(self, dst: int) -> None:
-        self.uview.pop(dst, None)
-        self.expected_epoch[dst] = self.expected_epoch.get(dst, 0) - 1
 
     def drop(self, pid: int) -> None:
         """Forget a retired partition's sets; its epoch counter stays, since

@@ -1,23 +1,24 @@
 """Partitioning decisions: initialization, rebalance selection, cell sizing.
 
 Pure functions over workload statistics. Nothing here touches evaluator
-state or channels; the runtime feeds in fixed-size snapshots and executes
-whatever operation comes back. Keeping this layer side-effect free makes
-decisions replayable: any logged operation can be rechecked against the
-snapshot that produced it.
+state or channels; the runtime feeds in one snapshot of per-evaluator
+reports per round and executes whatever operation comes back. Keeping this
+layer side-effect free makes decisions replayable: any logged operation
+can be rechecked against the snapshot that produced it.
 
 Two quantities drive every decision. The cost reduction C_r is the drop in
 the maximum partition cost the operation would achieve, and the transfer
-overhead C_t charges beta per query that would have to move. An operation
-is worth doing only when C_r > C_t, and among worthwhile candidates the
-largest C_r wins.
+overhead C_t charges beta per query copy that would have to move. Every
+shift candidate, edge strip or corner, names its exact region and the cost
+and copies in it, as its donor reported them, so both are exact for shifts;
+split/merge uses the donor's best cut. An operation is worth doing only
+when C_r > C_t, and among worthwhile candidates the largest C_r wins.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -27,13 +28,11 @@ from .agrid import CellRect, full_edge_neighbors, mergeable_pairs
 from .evaluator import EvaluatorStats, SplitChoice
 
 __all__ = [
-    "InvalidDirectionError",
     "WorkloadSnapshot",
     "OpKind",
     "RebalanceOp",
     "cost_reduction_split_merge",
     "transfer_overhead_split_merge",
-    "estimate_shift",
     "select_rebalance_op",
     "best_gridline_split",
     "initial_partitioning",
@@ -41,10 +40,6 @@ __all__ = [
     "routing_load",
     "advise_granularity",
 ]
-
-
-class InvalidDirectionError(ValueError):
-    """Shift proposed from the lighter partition to the heavier one."""
 
 
 @dataclass
@@ -96,7 +91,7 @@ class RebalanceOp:
     ct: float
     merge_keep: int | None = None  # split/merge: partner that absorbs the other
     merge_move: int | None = None  # split/merge: partner whose cells move; its worker becomes the spare
-    region: CellRect | None = None  # corner shift: exact cells to move
+    region: CellRect | None = None  # shift: exact cells to move
     split: SplitChoice | None = None  # split/merge: the cut the source reported
 
 
@@ -107,20 +102,6 @@ def cost_reduction_split_merge(cost_x: float, cost_x1: float, cost_x2: float, co
 
 def transfer_overhead_split_merge(queries_x2: float, queries_z: float, beta: float) -> float:
     return beta * (queries_x2 + queries_z)
-
-
-def estimate_shift(cost_a: float, cost_b: float, queries_a: float, beta: float) -> tuple[float, float]:
-    """Estimated (C_r, C_t) for evening out a full-edge pair.
-
-    The receiver's share is unknown until the donor scans its aggregates,
-    so assume the cut lands on the midpoint and that queries move in
-    proportion to cost.
-    """
-    if cost_a <= cost_b:
-        raise InvalidDirectionError(f"shift needs cost({cost_a}) > cost({cost_b})")
-    cr = cost_a - (cost_a + cost_b) / 2
-    ct = beta * queries_a * cr / cost_a
-    return cr, ct
 
 
 _KIND_RANK = {OpKind.SHIFT_H: 0, OpKind.SHIFT_V: 1, OpKind.SHIFT_CORNER: 2, OpKind.SPLIT_MERGE: 3}
@@ -138,21 +119,18 @@ def enumerate_candidates(snapshot: WorkloadSnapshot, beta: float, spare: int | N
     cost_a = snapshot.cost(src)
     out: list[RebalanceOp] = []
 
-    for nid, side in full_edge_neighbors(snapshot.pm, src):
-        cost_b = snapshot.cost(nid)
-        if cost_a <= cost_b:
-            continue
-        cr, ct = estimate_shift(cost_a, cost_b, snapshot.query_copies(src), beta)
-        kind = OpKind.SHIFT_H if side in ("left", "right") else OpKind.SHIFT_V
-        out.append(RebalanceOp(kind, src, nid, cr, ct))
-
-    for cand in snapshot.stats[src].corners:
+    edge_kind = {nid: OpKind.SHIFT_H if side in ("left", "right") else OpKind.SHIFT_V
+                 for nid, side in full_edge_neighbors(snapshot.pm, src)}
+    stats = snapshot.stats[src]
+    shifts = [(edge_kind[c.neighbor], c) for c in stats.strips]
+    shifts += [(OpKind.SHIFT_CORNER, c) for c in stats.corners]
+    for kind, cand in shifts:
         cost_b = snapshot.cost(cand.neighbor)
         cr = cost_a - max(cost_a - cand.moved_cost, cost_b + cand.moved_cost)
         ct = beta * cand.moved_queries
-        out.append(RebalanceOp(OpKind.SHIFT_CORNER, src, cand.neighbor, cr, ct, region=cand.region))
+        out.append(RebalanceOp(kind, src, cand.neighbor, cr, ct, region=cand.region))
 
-    split = snapshot.stats[src].best_split
+    split = stats.best_split
     if split is not None and spare is not None:
         pairs = [p for p in mergeable_pairs(snapshot.pm) if src not in p]
         if pairs:

@@ -297,15 +297,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         s = System(cfg, pm=pm, on_match=on_match)
         pending = 0
+        queries_pending = False
         for tag, item in events:
+            # a query must be registered before any later object can reach
+            # an evaluator through another router
+            if pending >= INGEST_CHUNK or (tag == "D" and queries_pending):
+                s.drain()
+                pending = 0
+                queries_pending = False
             if tag == "Q":
                 s.ingest_query(item)
+                queries_pending = True
             else:
                 s.ingest_object(item)
             pending += 1
-            if pending >= INGEST_CHUNK:
-                s.drain()
-                pending = 0
         s.drain()
         if s.pm:
             s.trigger_stats()   # guarantees a final metrics row

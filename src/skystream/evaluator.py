@@ -29,6 +29,8 @@ from .agrid import (
     CellRect,
     GridGeometry,
     SummaryConfig,
+    corner_shift_candidates,
+    full_edge_neighbors,
     rect_cells,
     rect_contains_cell,
     rect_intersect,
@@ -40,12 +42,10 @@ __all__ = [
     "OutOfBoundsError",
     "RegionMismatchError",
     "UnsplittableError",
-    "NoImprovementError",
     "CellIndex",
     "CellBatch",
     "SplitChoice",
-    "ShiftChoice",
-    "CornerCandidate",
+    "ShiftCandidate",
     "EvaluatorStats",
     "EvaluatorState",
 ]
@@ -60,10 +60,6 @@ class RegionMismatchError(ValueError):
 
 
 class UnsplittableError(ValueError):
-    pass
-
-
-class NoImprovementError(ValueError):
     pass
 
 
@@ -115,14 +111,9 @@ class SplitChoice:
 
 
 @dataclass(frozen=True)
-class ShiftChoice:
-    region: CellRect
-    moved_cost: int
-    moved_queries: int
+class ShiftCandidate:
+    """A boundary strip this evaluator could hand `neighbor`, with its sums."""
 
-
-@dataclass(frozen=True)
-class CornerCandidate:
     neighbor: int
     region: CellRect
     moved_cost: int
@@ -131,14 +122,20 @@ class CornerCandidate:
 
 @dataclass(frozen=True)
 class EvaluatorStats:
-    """Fixed-size statistics report, never the full grid."""
+    """Statistics report built from the aggregates, never the full grid.
+
+    Everything is fixed-size except `strips`, which holds at most one entry
+    per row or column along each full-edge neighbor, so it grows with the
+    region's side and never with the whole grid.
+    """
 
     pid: int
     overall_cost: int
     query_copies: int
     query_count: int
     best_split: SplitChoice | None
-    corners: tuple[CornerCandidate, ...]
+    strips: tuple[ShiftCandidate, ...]
+    corners: tuple[ShiftCandidate, ...]
 
 
 class EvaluatorState:
@@ -332,7 +329,7 @@ class EvaluatorState:
     def summary_set(self) -> frozenset[str]:
         return frozenset(k for k, c in self.summary_counts.items() if c > 0)
 
-    # -- split / shift scans ---------------------------------------------------
+    # -- split / shift candidates ----------------------------------------------
 
     def find_best_split(self) -> SplitChoice:
         """Gridline cut minimizing the cost difference of the two sides.
@@ -364,52 +361,42 @@ class EvaluatorState:
         assert best is not None
         return best[1]
 
-    def find_shift_cut(self, side: str, target_cost: float) -> ShiftChoice:
-        """Pick the strip to hand a full-edge neighbor sitting at `side`.
+    def find_shift_cut(self, pm: dict[int, CellRect]) -> tuple[ShiftCandidate, ...]:
+        """Every strip worth handing a full-edge neighbor, one walk per edge.
 
-        Minimizes |kept cost - target|; raises NoImprovement when every cut
-        is worse than doing nothing.
+        Strips grow from the shared edge one row or column at a time, and
+        one is emitted only where the newly added line carries cost: a strip
+        moving no cost cannot lower the maximum, and a thicker strip with
+        the same cost is dominated. The whole region is never offered.
         """
-        b = self.bounds
-        if b is None:
-            raise NoImprovementError("empty region")
-        x0, y0, x1, y1 = b
-        if side in ("left", "right"):
-            lo, hi, cost_agg, q_agg = x0, x1, self.col_cost, self.col_q
-        else:
-            lo, hi, cost_agg, q_agg = y0, y1, self.row_cost, self.row_q
-        if lo == hi:
-            raise NoImprovementError("single line cannot shift")
-        grows_from_low = side in ("left", "down")
-        total = self.overall_cost
-        best: tuple | None = None
-        run_cost = 0
-        run_q = 0
-        # Enumerate strips growing from the shared edge.
-        order = range(lo, hi) if grows_from_low else range(hi, lo, -1)
-        for idx in order:
-            run_cost += cost_agg[idx]
-            run_q += q_agg[idx]
-            kept = total - run_cost
-            key = (abs(kept - target_cost), abs(idx - (lo if grows_from_low else hi)))
-            if best is None or key < best[0]:
-                if grows_from_low:
-                    region = (x0, y0, idx, y1) if side == "left" else (x0, y0, x1, idx)
-                else:
-                    region = (idx, y0, x1, y1) if side == "right" else (x0, idx, x1, y1)
-                best = (key, ShiftChoice(region, run_cost, run_q))
-        assert best is not None
-        if best[0][0] >= abs(total - target_cost):
-            raise NoImprovementError("no cut improves on the current imbalance")
-        return best[1]
+        x0, y0, x1, y1 = self.bounds
+        out = []
+        for nid, side in full_edge_neighbors(pm, self.pid):
+            if side in ("left", "right"):
+                lo, hi, cost_agg, q_agg = x0, x1, self.col_cost, self.col_q
+            else:
+                lo, hi, cost_agg, q_agg = y0, y1, self.row_cost, self.row_q
+            order = range(lo, hi) if side in ("left", "down") else range(hi, lo, -1)
+            run_cost = run_q = 0
+            for idx in order:
+                run_cost += cost_agg[idx]
+                run_q += q_agg[idx]
+                if not cost_agg[idx]:
+                    continue
+                region = {
+                    "left": (x0, y0, idx, y1),
+                    "right": (idx, y0, x1, y1),
+                    "down": (x0, y0, x1, idx),
+                    "up": (x0, idx, x1, y1),
+                }[side]
+                out.append(ShiftCandidate(nid, region, run_cost, run_q))
+        return tuple(out)
 
-    def corner_candidates(self, pm: dict[int, CellRect]) -> tuple[CornerCandidate, ...]:
-        from .agrid import corner_shift_candidates
-
+    def corner_candidates(self, pm: dict[int, CellRect]) -> tuple[ShiftCandidate, ...]:
         out = []
         for nid, region in corner_shift_candidates(pm, self.pid):
             cost, q = self.region_sums(region)
-            out.append(CornerCandidate(nid, region, cost, q))
+            out.append(ShiftCandidate(nid, region, cost, q))
         return tuple(out)
 
     def region_sums(self, region: CellRect) -> tuple[int, int]:
@@ -430,8 +417,10 @@ class EvaluatorState:
             split = self.find_best_split()
         except UnsplittableError:
             split = None
-        corners: tuple[CornerCandidate, ...] = ()
+        strips: tuple[ShiftCandidate, ...] = ()
+        corners: tuple[ShiftCandidate, ...] = ()
         if pm is not None and self.pid in pm:
+            strips = self.find_shift_cut(pm)
             corners = self.corner_candidates(pm)
         return EvaluatorStats(
             pid=self.pid,
@@ -439,6 +428,7 @@ class EvaluatorState:
             query_copies=self.overall_q,
             query_count=self.query_count,
             best_split=split,
+            strips=strips,
             corners=corners,
         )
 

@@ -56,7 +56,6 @@ from .evaluator import (
     CellBatch,
     CellIndex,
     EvaluatorState,
-    NoImprovementError,
     iter_region,
     strip_remainder,
     union_rect,
@@ -207,22 +206,6 @@ class SystemConfig:
             raise ValueError("cadences must be positive")
 
 
-# -- small geometry helpers -----------------------------------------------------------
-
-
-def _side_of(src: CellRect, dst: CellRect) -> str:
-    """Direction of dst as seen from src (they share a full edge)."""
-    if dst[0] == src[2] + 1:
-        return "right"
-    if dst[2] == src[0] - 1:
-        return "left"
-    if dst[1] == src[3] + 1:
-        return "up"
-    if dst[3] == src[1] - 1:
-        return "down"
-    raise ProtocolViolation(f"{src} and {dst} are not edge neighbors")
-
-
 # -- router ---------------------------------------------------------------------------
 
 
@@ -253,6 +236,7 @@ class RouterWorker:
         self.refresh_acks: set[tuple] = set()
         self.round_id = 0
         self.round_open = False
+        self.round_generation = 0
         self.round_pids: frozenset[int] = frozenset()
         self.round_reports: dict[int, Any] = {}
         self.round_window: dict[int, int] = {}
@@ -352,6 +336,7 @@ class RouterWorker:
         self.round_id += 1
         self.round_open = True
         self.round_pids = frozenset(self.sys.pm)
+        self.round_generation = self.sys.generation
         self.round_reports = {}
         self.round_window = {}
         for ename in self.sys.evaluator_names:
@@ -372,7 +357,10 @@ class RouterWorker:
         self.round_open = False
         alpha = self.sys.record_metrics_row(
             self.round_pids, self.round_reports, self.round_window)
-        if self.sys.cfg.adaptive and self.op is None and self.sys.spare is not None:
+        # reports name regions of the map they were taken under, so an op
+        # that finished while the round was open voids this round's decision
+        if (self.sys.cfg.adaptive and self.op is None and self.sys.spare is not None
+                and self.round_generation == self.sys.generation):
             snap = WorkloadSnapshot(
                 dict(self.sys.pm),
                 {pid: self.round_reports[pid] for pid in self.sys.pm},
@@ -391,43 +379,22 @@ class RouterWorker:
         self.op_stage = "transfer"
         self.pm_acks = set()
         self.refresh_acks = set()
+        moves = [(op.src, op.dst, op.region)]
         if op.kind is OpKind.SPLIT_MERGE:
             x0, y0, x1, y1 = sys.pm[op.src]
             s = op.split
-            if s.axis == "h":
-                region_x2: CellRect = (x0, s.cut + 1, x1, y1)
-            else:
-                region_x2 = (s.cut + 1, y0, x1, y1)
-            self.op_transfers = {
-                0: {"src": op.src, "dst": op.dst, "region": region_x2,
-                    "extracted": False},
-                1: {"src": op.merge_move, "dst": op.merge_keep,
-                    "region": sys.pm[op.merge_move], "extracted": False},
-            }
+            region_x2 = (x0, s.cut + 1, x1, y1) if s.axis == "h" else (s.cut + 1, y0, x1, y1)
+            moves = [(op.src, op.dst, region_x2),
+                     (op.merge_move, op.merge_keep, sys.pm[op.merge_move])]
+        self.op_transfers = {tid: {"src": src, "dst": dst, "region": region, "extracted": False}
+                             for tid, (src, dst, region) in enumerate(moves)}
+        for t in self.op_transfers.values():
             self.broadcast_routers(MsgKind.REBALANCE_COMMAND,
-                                   verb="premerge", dst=op.dst, src=op.src)
-            self.broadcast_routers(MsgKind.REBALANCE_COMMAND,
-                                   verb="premerge", dst=op.merge_keep, src=op.merge_move)
-            for tid, t in self.op_transfers.items():
-                sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
-                         verb="begin_transfer", op_id=self.op_id, tid=tid,
-                         region=t["region"], dst=t["dst"])
-            return
-        self.op_transfers = {0: {"src": op.src, "dst": op.dst,
-                                 "region": op.region, "extracted": False}}
-        self.broadcast_routers(MsgKind.REBALANCE_COMMAND,
-                               verb="premerge", dst=op.dst, src=op.src)
-        if op.kind is OpKind.SHIFT_CORNER:
-            sys.send(self.name, f"e{op.src}", MsgKind.REBALANCE_COMMAND,
-                     verb="begin_transfer", op_id=self.op_id, tid=0,
-                     region=op.region, dst=op.dst)
-        else:
-            side = _side_of(sys.pm[op.src], sys.pm[op.dst])
-            target = (self.round_reports[op.src].overall_cost
-                      + self.round_reports[op.dst].overall_cost) / 2
-            sys.send(self.name, f"e{op.src}", MsgKind.REBALANCE_COMMAND,
-                     verb="begin_shift", op_id=self.op_id, tid=0,
-                     side=side, target_cost=target, dst=op.dst)
+                                   verb="premerge", dst=t["dst"], src=t["src"])
+        for tid, t in self.op_transfers.items():
+            sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
+                     verb="begin_transfer", op_id=self.op_id, tid=tid,
+                     region=t["region"], dst=t["dst"])
 
     def broadcast_routers(self, kind: MsgKind, **payload) -> None:
         for rname in self.sys.router_names:
@@ -438,21 +405,9 @@ class RouterWorker:
         if verb == "premerge":
             self.unit.summaries.premerge(p["dst"], p["src"])
             return
-        if verb == "cancel_premerge":
-            self.unit.summaries.cancel_premerge(p["dst"])
-            return
         if self.index != 0:
             raise ProtocolViolation(f"non-coordinator {self.name} got {verb!r}")
-        if verb == "op_plan":
-            self.op_transfers[p["tid"]]["region"] = p["region"]
-        elif verb == "op_abort":
-            self.broadcast_routers(MsgKind.REBALANCE_COMMAND,
-                                   verb="cancel_premerge",
-                                   dst=self.op_transfers[0]["dst"])
-            self.op = None
-            self.op_stage = "idle"
-            self.op_transfers = {}
-        elif verb == "absorbed":
+        if verb == "absorbed":
             t = self.op_transfers[p["tid"]]
             self.sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
                           verb="extract_now", op_id=p["op_id"], tid=p["tid"])
@@ -547,7 +502,6 @@ class EvaluatorWorker:
             self.handle_query(p["query"], p["origin"], p["seq"])
         elif msg.kind is MsgKind.FORWARDED_TUPLE:
             if p["inner"] == "object":
-                self.sys.counters["forwarded_tuples_in"] += 1
                 self.handle_object(p["obj"])
             else:
                 self.handle_forwarded_query(p["query"], p.get("cells"))
@@ -572,7 +526,6 @@ class EvaluatorWorker:
             # so every hop advances in migration history and chains terminate
             for region, peer in reversed(self.forward_table):
                 if rect_contains_cell(region, coord):
-                    sys.counters["forwarded_tuples"] += 1
                     sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
                              inner="object", obj=o)
                     return
@@ -605,7 +558,6 @@ class EvaluatorWorker:
 
     def handle_forwarded_query(self, q: ContinuousQuery,
                                cells: tuple | None) -> None:
-        self.sys.counters["forwarded_tuples_in"] += 1
         if self.staging is not None and self.overlaps_region(q, self.staging.region):
             # incoming-region cells are still staged; register after absorbing
             if all(sq.qid != q.qid for sq in self.staging.queries):
@@ -635,7 +587,6 @@ class EvaluatorWorker:
                 gone = tuple(c for c in iter_region(overlap)
                              if c in tr.transmitted)
                 if gone:
-                    sys.counters["forwarded_tuples"] += 1
                     sys.send(self.name, tr.peer, MsgKind.FORWARDED_TUPLE,
                              inner="query", query=q, cells=gone)
         stg = self.staging
@@ -657,7 +608,6 @@ class EvaluatorWorker:
                     continue  # cell is inbound; the staged copy registers it
                 targets.setdefault(peer, []).append(c)
         for peer, cs in targets.items():
-            sys.counters["forwarded_tuples"] += 1
             sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
                      inner="query", query=q, cells=tuple(cs))
 
@@ -686,14 +636,6 @@ class EvaluatorWorker:
             sys.send(self.name, sys.coordinator, MsgKind.STATS_REPORT,
                      round=p["round"], stats=stats, window_cost=self.window_cost)
             self.window_cost = 0
-        elif verb == "begin_shift":
-            try:
-                choice = self.state.find_shift_cut(p["side"], p["target_cost"])
-            except NoImprovementError:
-                sys.send(self.name, sys.coordinator, MsgKind.REBALANCE_COMMAND,
-                         verb="op_abort", op_id=p["op_id"], tid=p["tid"])
-                return
-            self.begin_outgoing(p["op_id"], p["tid"], choice.region, p["dst"])
         elif verb == "begin_transfer":
             self.begin_outgoing(p["op_id"], p["tid"], p["region"], p["dst"])
         elif verb == "stream_next":
@@ -728,8 +670,6 @@ class EvaluatorWorker:
         peer = f"e{dst}"
         self.transient = TransientState(op_id, tid, peer, region,
                                         deque(iter_region(region)))
-        sys.send(self.name, sys.coordinator, MsgKind.REBALANCE_COMMAND,
-                 verb="op_plan", op_id=op_id, tid=tid, region=region)
         sys.send(self.name, peer, MsgKind.REBALANCE_COMMAND,
                  verb="cells_begin", op_id=op_id, tid=tid, region=region)
         sys.send(self.name, self.name, MsgKind.REBALANCE_COMMAND,

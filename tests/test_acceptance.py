@@ -34,7 +34,7 @@ from skystream.balancer import (
     routing_load,
     select_rebalance_op,
 )
-from skystream.evaluator import CornerCandidate, EvaluatorState, SplitChoice
+from skystream.evaluator import EvaluatorState, ShiftCandidate, SplitChoice
 from skystream.model import ContinuousQuery, Point, Predicate, Rect, SpatialKeywordObject
 from skystream import runtime as runtime_mod
 from skystream.runtime import System, SystemConfig
@@ -331,6 +331,7 @@ def _interleaved_run(seed: int) -> dict:
     got = sorted((m.qid, m.oid, m.ts) for m in s.results)
     assert got == sorted(expected), f"seed {seed}: result multiset diverged"
     assert s.counters["forwarded_objects"] + s.counters["dropped_by_summary"] == len(objects)
+    assert s.counters["rebalance_count"] == len(s.decisions), f"seed {seed}: an op did not complete"
     return {
         "midop_objects": midop_objects,
         "midop_queries": midop_queries,
@@ -367,6 +368,9 @@ def test_criterion_05_interleavings_match_single_index_oracle():
 # -- 6: every logged rebalance decision is sound ---------------------------------------
 
 
+C6_SEEDS = range(3131, 3139)   # workload seeds of the decision-logging scenario
+
+
 def test_criterion_06_rebalance_decisions_are_sound(monkeypatch):
     recorded: list[tuple] = []
     real = runtime_mod.select_rebalance_op
@@ -378,31 +382,37 @@ def test_criterion_06_rebalance_decisions_are_sound(monkeypatch):
 
     monkeypatch.setattr(runtime_mod, "select_rebalance_op", recording)
 
-    rng = random.Random(3131)
     vocab = [f"t{i:02d}" for i in range(24)]
-    cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=3, beta=0.05,
-                       seed=11, policy="random_weighted", stats_cadence=10**9,
-                       adaptive=True, mode="agrid", clean_interval=32)
-    s = System(cfg)
-    for qid in range(1, 81):
-        s.ingest_query(_mixed_query(rng, qid, vocab))
-    s.drain()
-    for oid in range(1, 501):
-        s.ingest_object(_mixed_object(rng, oid, vocab, oid))
-        if oid % 25 == 0:
-            s.drain()
-            s.trigger_stats()
-            s.drain()
-    s.drain()
+    started = []
+    for seed in C6_SEEDS:
+        recorded.clear()
+        rng = random.Random(seed)
+        cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=3, beta=0.05,
+                           seed=11, policy="random_weighted", stats_cadence=10**9,
+                           adaptive=True, mode="agrid", clean_interval=32)
+        s = System(cfg)
+        for qid in range(1, 81):
+            s.ingest_query(_mixed_query(rng, qid, vocab))
+        s.drain()
+        for oid in range(1, 501):
+            s.ingest_object(_mixed_object(rng, oid, vocab, oid))
+            if oid % 25 == 0:
+                s.drain()
+                s.trigger_stats()
+                s.drain()
+        s.drain()
 
-    started = [r for r in recorded if r[3] is not None]
-    assert len(s.decisions) == len(started) >= 3
-    for (snap, beta, spare, op), row in zip(started, s.decisions):
-        assert op.cr > op.ct
-        assert row["Cr"] == op.cr and row["Ct"] == op.ct
-        # the full re-enumeration recomputes Cr/Ct from the snapshot and
-        # must land on the identical argmax (dataclass equality covers both)
-        assert reference_selection(snap, beta, spare) == op
+        run_started = [r for r in recorded if r[3] is not None]
+        assert len(s.decisions) == len(run_started)
+        assert s.counters["rebalance_count"] == len(s.decisions), f"seed {seed}"
+        for (snap, beta, spare, op), row in zip(run_started, s.decisions):
+            assert op.cr > op.ct
+            assert row["Cr"] == op.cr and row["Ct"] == op.ct
+            # the full re-enumeration recomputes Cr/Ct from the snapshot and
+            # must land on the identical argmax (dataclass equality covers both)
+            assert reference_selection(snap, beta, spare) == op
+        started += run_started
+    assert len(started) >= 3
 
     # and the selection matches the oracle on fresh random snapshots
     rng = random.Random(66)
@@ -420,9 +430,11 @@ def test_criterion_06_rebalance_decisions_are_sound(monkeypatch):
                 ql = rng.randint(0, copies)
                 split = SplitChoice("h", rect[1], abs(2 * low - cost), low, cost - low,
                                     ql, copies - ql)
-            corners = [CornerCandidate(nid, region, rng.randint(0, cost), rng.randint(0, copies))
+            corners = [ShiftCandidate(nid, region, rng.randint(0, cost), rng.randint(0, copies))
                        for nid, region in corner_shift_candidates(pm, pid)]
-            stats[pid] = balancer_tests.make_stats(pid, cost, copies, split=split, corners=corners)
+            strips = balancer_tests.random_strips(rng, pm, pid, cost, copies)
+            stats[pid] = balancer_tests.make_stats(pid, cost, copies, split=split,
+                                                   strips=strips, corners=corners)
         snap = WorkloadSnapshot(pm, stats)
         beta = rng.choice([0.0, 0.1, 1.0, 3.0])
         spare = rng.choice([None, 99])
@@ -432,7 +444,8 @@ def test_criterion_06_rebalance_decisions_are_sound(monkeypatch):
             agreed_ops += 1
             assert got.cr > got.ct
     assert agreed_ops > 20
-    report(6, f"{len(started)} logged ops: Cr > Ct exact and argmax == oracle; "
+    report(6, f"{len(started)} logged ops over {len(C6_SEEDS)} workloads, all completed: "
+              f"Cr > Ct exact and argmax == oracle; "
               f"100 random snapshots agree ({agreed_ops} with a selected op)")
 
 

@@ -205,11 +205,6 @@ class TestSummaryContribution:
         q = make_query(text=("beta", "alpha"), predicate=Predicate.CONTAINS)
         assert summary_contribution(q) == frozenset({"alpha"})
 
-    def test_contains_rarest_mode(self):
-        cfg = SummaryConfig(contains_mode="filter_rarest", freq={"alpha": 50, "beta": 2})
-        q = make_query(text=("beta", "alpha"), predicate=Predicate.CONTAINS)
-        assert summary_contribution(q, cfg) == frozenset({"beta"})
-
     def test_contains_full_mode(self):
         cfg = SummaryConfig(contains_mode="full")
         q = make_query(text=("beta", "alpha"), predicate=Predicate.CONTAINS)
@@ -251,12 +246,6 @@ class TestRouterSummaries:
         assert s.apply_refresh(1, ("coffee",), {}, 1)
         assert 1 not in s.uview
         assert s.should_forward(1, frozenset({"coffee"}))
-
-    def test_cancel_premerge(self):
-        s = RouterSummaries()
-        s.premerge(1, 0)
-        s.cancel_premerge(1)
-        assert s.apply_refresh(1, ("x",), {}, 0)
 
     def test_wildcard_forwards_everything(self):
         s = RouterSummaries()

@@ -5,10 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from skystream.agrid import AGrid, corner_shift_candidates
+from skystream.agrid import AGrid, corner_shift_candidates, full_edge_neighbors
 from skystream.balancer import (
     GranularityModel,
-    InvalidDirectionError,
     OpKind,
     RebalanceOp,
     WorkloadSnapshot,
@@ -16,13 +15,12 @@ from skystream.balancer import (
     best_gridline_split,
     cost_reduction_split_merge,
     enumerate_candidates,
-    estimate_shift,
     initial_partitioning,
     routing_load,
     select_rebalance_op,
     transfer_overhead_split_merge,
 )
-from skystream.evaluator import CornerCandidate, EvaluatorStats, SplitChoice
+from skystream.evaluator import EvaluatorStats, ShiftCandidate, SplitChoice
 
 from oracles import random_recursive_partitioning
 
@@ -41,28 +39,60 @@ class TestCostFormulas:
         assert transfer_overhead_split_merge(100, 50, 1.0) == 150
         assert transfer_overhead_split_merge(100, 50, 0.0) == 0
 
-    def test_shift_estimate_worked_example(self):
-        assert estimate_shift(10, 2, 20, 1.0) == (4.0, 8.0)
+    def test_edge_strip_worked_example(self):
+        # the donor reports the strip's exact cost and copies
+        pm = {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
+        strip = ShiftCandidate(1, (3, 0, 3, 7), moved_cost=4, moved_queries=8)
+        snap = WorkloadSnapshot(pm, {0: make_stats(0, 10, 20, strips=[strip]),
+                                     1: make_stats(1, 2, 3)})
+        [op] = enumerate_candidates(snap, beta=1.0)
+        assert op == RebalanceOp(OpKind.SHIFT_H, 0, 1, cr=10 - max(10 - 4, 2 + 4),
+                                 ct=8.0, region=(3, 0, 3, 7))
+        assert (op.cr, op.ct) == (4, 8.0)
 
-    def test_shift_estimate_free_ideal(self):
-        assert estimate_shift(6, 0, 0, 1.0) == (3.0, 0.0)
+    def test_edge_strip_free_when_no_copies_move(self):
+        pm = {0: (0, 0, 7, 3), 1: (0, 4, 7, 7)}
+        strip = ShiftCandidate(1, (0, 2, 7, 3), moved_cost=3, moved_queries=0)
+        snap = WorkloadSnapshot(pm, {0: make_stats(0, 6, 0, strips=[strip]),
+                                     1: make_stats(1, 0, 0)})
+        [op] = enumerate_candidates(snap, beta=1.0)
+        assert op.kind is OpKind.SHIFT_V and (op.cr, op.ct) == (3, 0.0)
 
     def test_shift_wrong_direction(self):
-        with pytest.raises(InvalidDirectionError):
-            estimate_shift(2, 10, 5, 1.0)
-        with pytest.raises(InvalidDirectionError):
-            estimate_shift(5, 5, 5, 1.0)
+        # a strip onto an equally loaded neighbor, or one that overshoots
+        # the lighter neighbor, cannot lower the maximum
+        pm = {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
+        for cost_b, moved in ((10, 1), (8, 6)):
+            strip = ShiftCandidate(1, (3, 0, 3, 7), moved_cost=moved, moved_queries=0)
+            snap = WorkloadSnapshot(pm, {0: make_stats(0, 10, 4, strips=[strip]),
+                                         1: make_stats(1, cost_b, 4)})
+            [op] = enumerate_candidates(snap, beta=0.0)
+            assert op.cr <= 0
+            assert select_rebalance_op(snap, beta=0.0, spare=None) is None
 
 
-def make_stats(pid, cost, copies, count=None, split=None, corners=()):
+def make_stats(pid, cost, copies, count=None, split=None, strips=(), corners=()):
     return EvaluatorStats(
         pid=pid,
         overall_cost=cost,
         query_copies=copies,
         query_count=count if count is not None else copies,
         best_split=split,
+        strips=tuple(strips),
         corners=tuple(corners),
     )
+
+
+def column_strips(neighbor, rect, costs, copies):
+    """The strips a donor at `rect` reports toward a right-hand neighbor."""
+    x0, y0, x1, y1 = rect
+    out, run_c, run_q = [], 0, 0
+    for i in range(x1, x0, -1):
+        run_c += costs[i - x0]
+        run_q += copies[i - x0]
+        if costs[i - x0]:
+            out.append(ShiftCandidate(neighbor, (i, y0, x1, y1), run_c, run_q))
+    return out
 
 
 def even_split(cost, q):
@@ -91,16 +121,22 @@ class TestSelectRebalanceOp:
 
     def test_forced_shift_halves_the_hotspot(self):
         pm = {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
-        snap = WorkloadSnapshot(pm, {0: make_stats(0, 100, 8), 1: make_stats(1, 0, 0)})
+        strips = column_strips(1, pm[0], [25, 25, 25, 25], [2, 2, 2, 2])
+        snap = WorkloadSnapshot(pm, {0: make_stats(0, 100, 8, strips=strips),
+                                     1: make_stats(1, 0, 0)})
         op = select_rebalance_op(snap, beta=0.0, spare=2)
         assert op is not None
-        assert op.cr == 50.0
+        assert op.cr == 50
         assert op.kind is OpKind.SHIFT_H and op.src == 0 and op.dst == 1
+        assert op.region == (2, 0, 3, 7)
 
     def test_beta_can_veto_everything(self):
         pm = {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
-        snap = WorkloadSnapshot(pm, {0: make_stats(0, 100, 8), 1: make_stats(1, 0, 0)})
-        # Ct = beta * 8 * 50/100 = 4*beta; beta=20 -> 80 > 50
+        strips = column_strips(1, pm[0], [25, 25, 25, 25], [2, 2, 2, 2])
+        snap = WorkloadSnapshot(pm, {0: make_stats(0, 100, 8, strips=strips),
+                                     1: make_stats(1, 0, 0)})
+        # the one-column strip has Cr 25 at Ct 2*beta, the halving strip Cr 50
+        # at Ct 4*beta; beta=20 vetoes both (40 > 25, 80 > 50)
         assert select_rebalance_op(snap, beta=20.0, spare=2) is None
         assert select_rebalance_op(snap, beta=1.0, spare=2) is not None
 
@@ -141,8 +177,8 @@ class TestSelectRebalanceOp:
     def test_corner_shift_scored_exactly(self):
         pm = {0: (0, 0, 3, 5), 1: (4, 3, 5, 5), 2: (4, 0, 5, 2)}
         corners = [
-            CornerCandidate(1, (0, 3, 3, 5), moved_cost=30, moved_queries=5),
-            CornerCandidate(2, (0, 0, 3, 2), moved_cost=20, moved_queries=4),
+            ShiftCandidate(1, (0, 3, 3, 5), moved_cost=30, moved_queries=5),
+            ShiftCandidate(2, (0, 0, 3, 2), moved_cost=20, moved_queries=4),
         ]
         stats = {
             0: make_stats(0, 100, 50, corners=corners),
@@ -166,20 +202,15 @@ class TestSelectionOracle:
         ca = snap.cost(src)
         cands = []
         sx0, sy0, sx1, sy1 = pm[src]
-        for nid, (x0, y0, x1, y1) in pm.items():
-            if nid == src:
-                continue
-            cb = snap.cost(nid)
-            same_y = y0 == sy0 and y1 == sy1
-            same_x = x0 == sx0 and x1 == sx1
-            if same_y and (x0 == sx1 + 1 or x1 + 1 == sx0) and ca > cb:
-                cr = ca - (ca + cb) / 2
-                ct = beta * snap.query_copies(src) * cr / ca
-                cands.append((cr, 0, src, nid, (), RebalanceOp(OpKind.SHIFT_H, src, nid, cr, ct)))
-            if same_x and (y0 == sy1 + 1 or y1 + 1 == sy0) and ca > cb:
-                cr = ca - (ca + cb) / 2
-                ct = beta * snap.query_copies(src) * cr / ca
-                cands.append((cr, 1, src, nid, (), RebalanceOp(OpKind.SHIFT_V, src, nid, cr, ct)))
+        for c in snap.stats[src].strips:
+            x0, y0, x1, y1 = pm[c.neighbor]
+            # a strip across a vertical edge spans the donor's full height
+            rank, kind = (0, OpKind.SHIFT_H) if (y0, y1) == (sy0, sy1) else (1, OpKind.SHIFT_V)
+            cb = snap.cost(c.neighbor)
+            cr = ca - max(ca - c.moved_cost, cb + c.moved_cost)
+            ct = beta * c.moved_queries
+            cands.append((cr, rank, src, c.neighbor, c.region,
+                          RebalanceOp(kind, src, c.neighbor, cr, ct, region=c.region)))
         for c in snap.stats[src].corners:
             cb = snap.cost(c.neighbor)
             cr = ca - max(ca - c.moved_cost, cb + c.moved_cost)
@@ -239,9 +270,11 @@ class TestSelectionOracle:
                 corners = []
                 for nid, region in corner_shift_candidates(pm, pid):
                     corners.append(
-                        CornerCandidate(nid, region, rng.randint(0, cost), rng.randint(0, copies))
+                        ShiftCandidate(nid, region, rng.randint(0, cost), rng.randint(0, copies))
                     )
-                stats[pid] = make_stats(pid, cost, copies, split=split, corners=corners)
+                stats[pid] = make_stats(pid, cost, copies, split=split,
+                                        strips=random_strips(rng, pm, pid, cost, copies),
+                                        corners=corners)
             snap = WorkloadSnapshot(pm, stats)
             beta = rng.choice([0.0, 0.1, 1.0, 3.0])
             spare = rng.choice([None, 99])
@@ -252,6 +285,19 @@ class TestSelectionOracle:
                 agree_some_op += 1
                 assert got.cr > got.ct
         assert agree_some_op > 20  # the sweep must actually exercise selections
+
+
+def random_strips(rng, pm, pid, cost, copies):
+    """Random but well-formed strips toward each full-edge neighbor of `pid`."""
+    x0, y0, x1, y1 = pm[pid]
+    out = []
+    for nid, side in full_edge_neighbors(pm, pid):
+        lo, hi = (x0, x1) if side in ("left", "right") else (y0, y1)
+        for idx in sorted(rng.sample(range(lo, hi), min(hi - lo, rng.randint(0, 3)))):
+            region = {"left": (x0, y0, idx, y1), "right": (idx + 1, y0, x1, y1),
+                      "down": (x0, y0, x1, idx), "up": (x0, idx + 1, x1, y1)}[side]
+            out.append(ShiftCandidate(nid, region, rng.randint(0, cost), rng.randint(0, copies)))
+    return out
 
 
 class TestInitialPartitioning:

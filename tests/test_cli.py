@@ -231,6 +231,25 @@ class TestRunOutputs:
                 "--grid", "8x8", "--out", str(tmp_path / "log")])
 
 
+class TestCrossModeParity:
+    def test_every_mode_writes_the_same_matches(self, tmp_path):
+        # queries precede the objects in one ingest chunk, so a query must be
+        # registered before the objects behind it reach the evaluators
+        base = ["run", "--workload",
+                "kind=NormalTweets,objects=3000,queries=300,side=0.05,seed=5,vocab=200",
+                "--grid", "32x32", "--evaluators", "4", "--seed", "3"]
+        runs = {mode: ["--mode", mode]
+                for mode in ("agrid", "uniform", "broadcast-baseline", "textual")}
+        runs["parallel"] = ["--parallel"]
+        results = {}
+        for name, extra in runs.items():
+            run_ok(base + extra + ["--out", str(tmp_path / name)])
+            results[name] = sorted((tmp_path / name / "results.txt").read_text().splitlines())
+        assert len(results["agrid"]) > 3000
+        for name, got in results.items():
+            assert got == results["agrid"], name
+
+
 # -- parallel executor ---------------------------------------------------------------
 
 

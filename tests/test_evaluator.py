@@ -10,7 +10,6 @@ from skystream.agrid import GridGeometry, SummaryConfig, summary_contribution
 from skystream.evaluator import (
     CellBatch,
     EvaluatorState,
-    NoImprovementError,
     OutOfBoundsError,
     RegionMismatchError,
     UnsplittableError,
@@ -256,70 +255,92 @@ class TestBestSplit:
 
 
 class TestShiftCut:
-    def build_columns(self, costs):
+    """Strip enumeration: one candidate per costed line along each full edge."""
+
+    def build_columns(self, costs, x0=0):
         g = GridGeometry(8, 8)
-        ev = EvaluatorState(0, g, (0, 0, len(costs) - 1, 3))
+        ev = EvaluatorState(0, g, (x0, 0, x0 + len(costs) - 1, 3))
         qid = 0
-        for i, c in enumerate(costs):
+        for k, c in enumerate(costs):
             if not c:
                 continue
+            i = x0 + k
             ev.register_query(make_query(g, qid, i, 0, i, 0, text=(f"w{i}",)))
             for _ in range(c):
                 ev.process_object(make_object(g, 1000 + qid, i, 0, text=(f"w{i}",)))
             qid += 1
         return ev
 
+    @staticmethod
+    def strips(ev, pm):
+        return [(c.neighbor, c.region, c.moved_cost, c.moved_queries)
+                for c in ev.find_shift_cut(pm)]
+
     def test_right_shift_picks_balancing_strip(self):
         ev = self.build_columns([8, 1, 1, 2])
-        # neighbor at cost 2: target (12 + 2) / 2 = 7
-        choice = ev.find_shift_cut("right", 7.0)
-        assert choice.region == (1, 0, 3, 3)
-        assert choice.moved_cost == 4
+        pm = {0: (0, 0, 3, 3), 1: (4, 0, 7, 3)}
+        assert self.strips(ev, pm) == [
+            (1, (3, 0, 3, 3), 2, 1),
+            (1, (2, 0, 3, 3), 3, 2),
+            (1, (1, 0, 3, 3), 4, 3),
+        ]
+        # against a neighbor at cost 2, the widest strip evens the pair best
+        cr = {c.region: 12 - max(12 - c.moved_cost, 2 + c.moved_cost)
+              for c in ev.find_shift_cut(pm)}
+        assert max(cr, key=cr.get) == (1, 0, 3, 3)
+        assert cr[(1, 0, 3, 3)] == 4
 
     def test_left_shift_grows_from_left_edge(self):
-        ev = self.build_columns([2, 1, 1, 8])
-        choice = ev.find_shift_cut("left", 7.0)
-        assert choice.region == (0, 0, 2, 3)
-        assert choice.moved_cost == 4
+        ev = self.build_columns([2, 1, 1, 8], x0=4)
+        pm = {0: (4, 0, 7, 3), 1: (0, 0, 3, 3)}
+        assert self.strips(ev, pm) == [
+            (1, (4, 0, 4, 3), 2, 1),
+            (1, (4, 0, 5, 3), 3, 2),
+            (1, (4, 0, 6, 3), 4, 3),
+        ]
 
-    def test_balanced_pair_raises_no_improvement(self):
+    def test_whole_region_is_never_offered(self):
         ev = self.build_columns([3, 3])
-        with pytest.raises(NoImprovementError):
-            ev.find_shift_cut("right", 6.0)
+        pm = {0: (0, 0, 1, 3), 1: (2, 0, 7, 3)}
+        assert self.strips(ev, pm) == [(1, (1, 0, 1, 3), 3, 1)]
+        # a single column has no strip to give across its vertical edges
+        single = self.build_columns([5], x0=2)
+        assert single.find_shift_cut({0: (2, 0, 2, 3), 1: (3, 0, 7, 3), 2: (0, 0, 1, 3)}) == ()
 
     def test_tie_moves_fewest_cells(self):
-        # total 4, target 2: strips [3] (kept 3) and [2..3] (kept 2) and
-        # [1..3] (kept 1). kept 2 wins exactly; check that a tie between
-        # equal |kept-target| resolves to the thinner strip.
-        ev = self.build_columns([1, 1, 1, 1])
-        choice = ev.find_shift_cut("right", 2.0)
-        assert choice.region == (2, 0, 3, 3)
-        assert choice.moved_cost == 2
+        # columns 4, 2 and 1 carry nothing: a strip ending at one of them
+        # moves no cost, or the same cost as a thinner strip, so only the
+        # strip ending at column 3 is emitted
+        ev = self.build_columns([3, 0, 0, 5, 0])
+        pm = {0: (0, 0, 4, 3), 1: (5, 0, 7, 3)}
+        assert self.strips(ev, pm) == [(1, (3, 0, 4, 3), 5, 1)]
 
     def test_vertical_sides_use_row_aggregates(self):
         g = GridGeometry(8, 8)
-        ev = EvaluatorState(0, g, (0, 0, 1, 3))
-        ev.register_query(make_query(g, 1, 0, 0, 0, 0, text=("bot",)))
-        ev.register_query(make_query(g, 2, 0, 1, 0, 1, text=("mid",)))
+        ev = EvaluatorState(0, g, (0, 2, 1, 5))
+        ev.register_query(make_query(g, 1, 0, 2, 0, 2, text=("bot",)))
+        ev.register_query(make_query(g, 2, 0, 3, 0, 3, text=("mid",)))
         for k in range(4):
-            ev.process_object(make_object(g, k, 0, 0, text=("bot",)))
+            ev.process_object(make_object(g, k, 0, 2, text=("bot",)))
         for k in range(2):
-            ev.process_object(make_object(g, 10 + k, 0, 1, text=("mid",)))
-        # rows cost 4/2/0/0; handing row 0 to the neighbor below keeps 2
-        choice = ev.find_shift_cut("down", 3.0)
-        assert choice.region == (0, 0, 1, 0)
-        assert choice.moved_cost == 4
+            ev.process_object(make_object(g, 10 + k, 0, 3, text=("mid",)))
+        # rows 2..5 cost 4/2/0/0; a neighbor below and one above
+        pm = {0: (0, 2, 1, 5), 1: (0, 0, 1, 1), 2: (0, 6, 1, 7)}
+        assert self.strips(ev, pm) == [
+            (1, (0, 2, 1, 2), 4, 1),
+            (1, (0, 2, 1, 3), 6, 2),
+            (2, (0, 3, 1, 5), 2, 1),
+        ]
 
     def test_moving_only_empty_strips_is_no_improvement(self):
         g = GridGeometry(8, 8)
-        ev = EvaluatorState(0, g, (0, 0, 1, 3))
-        ev.register_query(make_query(g, 1, 0, 3, 0, 3, text=("top",)))
+        ev = EvaluatorState(0, g, (0, 4, 1, 7))
+        ev.register_query(make_query(g, 1, 0, 7, 0, 7, text=("top",)))
         for k in range(6):
-            ev.process_object(make_object(g, k, 0, 3, text=("top",)))
-        # all cost sits in the far row; strips near the shared edge carry
-        # nothing, so no cut can change the imbalance
-        with pytest.raises(NoImprovementError):
-            ev.find_shift_cut("down", 3.0)
+            ev.process_object(make_object(g, k, 0, 7, text=("top",)))
+        # all cost sits in the row farthest from the neighbor below: every
+        # strip short of the whole region moves nothing, so none is offered
+        assert ev.find_shift_cut({0: (0, 4, 1, 7), 1: (0, 0, 1, 3)}) == ()
 
 
 class TestRegionSums:
@@ -515,7 +536,14 @@ class TestStatsReport:
         assert rep.query_copies == ev.overall_q
         assert rep.query_count == len(ev.registry)
         assert rep.best_split is not None
-        assert rep.corners == ()  # sole partition has no neighbors
+        assert rep.strips == rep.corners == ()  # sole partition has no neighbors
+        # with neighbors, the strips are bounded by the region's side: at
+        # most one per line short of the whole region along each edge
+        ev.extract_cells((0, 5, 5, 5))
+        pm = {0: ev.bounds, 1: (0, 5, 5, 5)}
+        rep = ev.stats_report(pm)
+        assert rep.strips == ev.find_shift_cut(pm)
+        assert 0 < len(rep.strips) <= 4
 
     def test_corner_costs_come_from_strips(self):
         g = GridGeometry(6, 6)

@@ -82,6 +82,7 @@ def system_matches(qs, objs, q_split, o_split, seed, mode, adaptive):
                 if not s.tick():
                     break
         s.drain()
+    assert s.counters["rebalance_count"] == len(s.decisions)  # every op completed
     return Counter(map(tuple, s.results))
 
 

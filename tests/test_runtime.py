@@ -370,9 +370,11 @@ class TestAbortedRebalance:
         s.trigger_stats()
         s.drain()
 
-        # the whole load sits on one column at the far edge: no strip cut
-        # improves on doing nothing, so the operation aborts
-        assert len(s.decisions) == 1
+        # the whole load sits on one column at the far edge: the donor
+        # reports no strip that moves cost, so the round starts nothing
+        assert s.workers["e0"].state.stats_report(dict(s.pm)).strips == ()
+        assert s.decisions == []
+        assert len(s.metrics) == 1
         assert s.counters["rebalance_count"] == 0
         assert s.generation == 0
         assert s.pm == {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
@@ -388,6 +390,44 @@ class TestAbortedRebalance:
         s.ingest_object(mk_o(500, (0, 0), ["alpha"], 100))
         s.drain()
         assert [tuple(r) for r in s.results[n0:]] == [(1, 500, 100)]
+
+
+class TestRoundAcrossAnOp:
+    def test_round_that_spans_an_op_starts_nothing(self):
+        cfg = SystemConfig(
+            grid_n=8, grid_m=8, routers=2, evaluators=3, seed=3,
+            beta=0.01, stats_cadence=BIG, clean_interval=BIG, adaptive=True,
+        )
+        s = System(cfg, pm={0: (0, 0, 2, 7), 1: (3, 0, 5, 7), 2: (6, 0, 7, 7)})
+        s.ingest_query(mk_q(1, (0, 0, 7, 7), ["alpha"]))
+        s.drain()
+        ts = 0
+        for col, n in ((2, 30), (0, 30), (7, 40)):
+            for k in range(n):
+                ts += 1
+                s.ingest_object(mk_o(ts, (col, k % 8), ["alpha"], ts))
+        s.drain()
+        coord = s.workers["r0"]
+        s.trigger_stats()
+        drain_until(s, lambda: coord.op is not None)
+        assert s.decisions[0]["opKind"] == "shift_h"  # column 2 moves to e1
+
+        # the next round reaches e1 before it absorbs the column and e0
+        # before it extracts it; e2 answers only after the op finished
+        s.trigger_stats()
+        s.step_channel("r0", "e1")
+        while s.step_channel("r0", "e0"):
+            pass
+        while coord.op is not None:
+            s.step_channel(*min(k for k, chan in s.channels.items()
+                                if chan and k != ("r0", "e2")))
+        s.drain()
+
+        # e0 reported column 2 as its own, which it no longer is; the round
+        # logs its metrics row but must not act on that report
+        assert len(s.metrics) == 2
+        assert len(s.decisions) == s.counters["rebalance_count"] == 1
+        assert s.pm == {0: (0, 0, 1, 7), 1: (2, 0, 5, 7), 2: (6, 0, 7, 7)}
 
 
 # ---------------------------------------------------------------------------
