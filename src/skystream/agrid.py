@@ -516,8 +516,11 @@ class RoutingUnit:
     def should_forward_object(self, o_text: frozenset[str], pid: int) -> bool:
         return self.summaries.should_forward(pid, o_text)
 
-    def route_point(self, loc: Point) -> int:
-        return self.grid.route_point(loc)
+    def route_point(self, loc: Point) -> tuple[int, tuple[int, int]]:
+        """The partition owning `loc`, and its cell, which travels with the object."""
+        grid = self.grid
+        cell = grid.cell_of(loc)
+        return grid.owner_of(cell), cell
 
     def apply_partition_update(self, pm: dict[int, CellRect], generation: int) -> None:
         self.grid.apply_update(pm, generation)

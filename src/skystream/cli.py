@@ -73,7 +73,7 @@ METRICS_FIELDS = ("tick", "alpha", "totalCost", "forwardedObjects",
                   "droppedBySummary", "peakChannelDepth", "rebalanceCount")
 DECISIONS_FIELDS = ("tick", "opKind", "pids", "Cr", "Ct", "alphaBefore")
 
-INGEST_CHUNK = 1000          # events between drains while streaming
+INGEST_CHUNK = 1000          # events between drains while streaming; bounds the object batches
 SAMPLE_LIMIT = 5000          # objects used for the initial partitioning
 
 

@@ -256,8 +256,11 @@ class EvaluatorState:
 
     # -- object evaluation ---------------------------------------------------
 
-    def process_object(self, o: SpatialKeywordObject) -> list[MatchResult]:
-        coord = self.geom.cell_of(o.loc)
+    def process_object(self, o: SpatialKeywordObject,
+                       coord: tuple[int, int] | None = None) -> list[MatchResult]:
+        """Match `o` against its cell; `coord` is its cell when the caller knows it."""
+        if coord is None:
+            coord = self.geom.cell_of(o.loc)
         if not self.owns_cell(coord):
             raise OutOfBoundsError(f"cell {coord} outside bounds {self.bounds}")
         cell = self.cells.get(coord)

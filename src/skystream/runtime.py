@@ -26,6 +26,11 @@ One transfer (src hands `region` to dst) runs like this:
 The last hand-off ordering matters: if src could publish a refresh before
 every router had seen dst's, a router could prune the keywords of a migrated
 query while still relying on src's summary to cover dst.
+
+Objects move in batches: what was ingested since the last delivery goes to
+each router as one DATA_OBJECT, and a router sends each evaluator one
+DATA_OBJECT of (object, cell) pairs. Workers still act object by object,
+and delivery counts and channel depths count the objects in a batch.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 import zlib
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -107,6 +112,7 @@ class Message:
     kind: MsgKind
     payload: dict
     seq: int  # per-channel, strictly increasing from 0
+    size: int = 1  # objects carried by a DATA_OBJECT batch, else 1
 
 
 @dataclass
@@ -142,7 +148,8 @@ class Scheduler:
 
     round_robin rotates over backlogged channels in first-use order, one
     message per visit. random_weighted draws a channel with probability
-    proportional to its backlog. Both are deterministic under a fixed seed.
+    proportional to its backlog in messages, so an object batch weighs as
+    much as any other message. Both are deterministic under a fixed seed.
     """
 
     def __init__(self, seed: int, policy: str = "round_robin"):
@@ -246,7 +253,7 @@ class RouterWorker:
     def handle(self, msg: Message) -> None:
         p = msg.payload
         if msg.kind is MsgKind.DATA_OBJECT:
-            self.route_object(p["obj"])
+            self.route_objects(p["objs"])
         elif msg.kind is MsgKind.QUERY:
             self.route_query(p["query"])
         elif msg.kind is MsgKind.KEYWORD_FORWARD:
@@ -268,29 +275,37 @@ class RouterWorker:
     def check_query(q: ContinuousQuery) -> None:
         """Reject, at ingest, a query this mode cannot serve."""
 
-    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
-        """Evaluators that must see `o`; empty when none can match it."""
+    def object_targets(self, o: SpatialKeywordObject
+                       ) -> tuple[tuple[int, int] | None, list[str]]:
+        """`o`'s cell, and the evaluators that must see `o` (none when none can match it)."""
         sys = self.sys
         try:
-            pid = self.unit.route_point(o.loc)
+            pid, cell = self.unit.route_point(o.loc)
         except OutOfWorldError:
             sys.counters["out_of_world"] += 1
-            return []
+            return None, []
         if self.use_summaries and not self.unit.should_forward_object(o.text, pid):
             sys.counters["dropped_by_summary"] += 1
-            return []
-        return [f"e{pid}"]
+            return None, []
+        return cell, [f"e{pid}"]
 
-    def route_object(self, o: SpatialKeywordObject) -> None:
+    def route_objects(self, objs: list[SpatialKeywordObject]) -> None:
+        """Route a batch; each evaluator gets one batch of (object, cell) in ingest order."""
         sys = self.sys
-        targets = self.object_targets(o)
-        if not targets:
-            sys.retire(o.ts)
-            return
-        sys.note_extra_inflight(o.ts, len(targets) - 1)
-        for ename in targets:
-            sys.send(self.name, ename, MsgKind.DATA_OBJECT, obj=o)
-        sys.counters["forwarded_objects"] += len(targets)
+        batches: defaultdict[str, list] = defaultdict(list)
+        forwarded = 0
+        for o in objs:
+            cell, targets = self.object_targets(o)
+            if not targets:
+                sys.retire(o.ts)
+                continue
+            sys.note_extra_inflight(o.ts, len(targets) - 1)
+            for ename in targets:
+                batches[ename].append((o, cell))
+            forwarded += len(targets)
+        for ename, batch in batches.items():
+            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch)
+        sys.counters["forwarded_objects"] += forwarded
 
     def route_query(self, q: ContinuousQuery) -> None:
         sys = self.sys
@@ -497,12 +512,17 @@ class EvaluatorWorker:
     def handle(self, msg: Message) -> None:
         p = msg.payload
         if msg.kind is MsgKind.DATA_OBJECT:
-            self.handle_object(p["obj"])
-        elif msg.kind is MsgKind.QUERY:
+            # each object counts as one delivery, so cleaning runs between
+            # the same objects whatever the batching
+            for o, cell in p["objs"]:
+                self.handle_object(o, cell)
+                self.count_delivery()
+            return
+        if msg.kind is MsgKind.QUERY:
             self.handle_query(p["query"], p["origin"], p["seq"])
         elif msg.kind is MsgKind.FORWARDED_TUPLE:
             if p["inner"] == "object":
-                self.handle_object(p["obj"])
+                self.handle_object(p["obj"], p["cell"])
             else:
                 self.handle_forwarded_query(p["query"], p.get("cells"))
         elif msg.kind is MsgKind.CELL_BATCH:
@@ -511,29 +531,32 @@ class EvaluatorWorker:
             self.handle_command(p)
         else:
             raise ProtocolViolation(f"evaluator {self.name} got {msg.kind}")
+        self.count_delivery()
+
+    def count_delivery(self) -> None:
         self.delivered += 1
         if self.delivered % self.sys.cfg.clean_interval == 0:
             self.maybe_clean()
 
     # -- objects --------------------------------------------------------------------
 
-    def handle_object(self, o: SpatialKeywordObject) -> None:
+    def handle_object(self, o: SpatialKeywordObject, coord: tuple[int, int] | None) -> None:
+        """Match `o`, or forward it if its cell `coord` has left this evaluator."""
         sys = self.sys
         st = self.state
-        coord = st.geom.cell_of(o.loc)
         if not st.owns_cell(coord):
             # newest entry wins: it names the worker this cell left for last,
             # so every hop advances in migration history and chains terminate
             for region, peer in reversed(self.forward_table):
                 if rect_contains_cell(region, coord):
                     sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
-                             inner="object", obj=o)
+                             inner="object", obj=o, cell=coord)
                     return
             raise ProtocolViolation(
                 f"{self.name} got object at cell {coord} outside {st.bounds} "
                 "with no forwarding entry")
         before = st.overall_cost
-        out = st.process_object(o)
+        out = st.process_object(o, coord)
         delta = st.overall_cost - before
         self.window_cost += delta
         sys.counters["candidates"] += self.candidate_charge(delta)
@@ -749,8 +772,19 @@ class EvaluatorWorker:
 class BroadcastRouter(RouterWorker):
     """Every object goes to every evaluator; queries are spread by qid."""
 
-    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
-        return self.sys.evaluator_names
+    def __init__(self, name: str, index: int, system: "System"):
+        super().__init__(name, index, system)
+        cfg = system.cfg
+        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m, system.world)
+
+    def object_targets(self, o: SpatialKeywordObject
+                       ) -> tuple[tuple[int, int] | None, list[str]]:
+        try:
+            cell = self.geom.cell_of(o.loc)
+        except OutOfWorldError:
+            self.sys.counters["out_of_world"] += 1
+            return None, []
+        return cell, self.sys.evaluator_names
 
     def route_query(self, q: ContinuousQuery) -> None:
         names = self.sys.evaluator_names
@@ -780,8 +814,9 @@ class TextualRouter(RouterWorker):
     def keyword_targets(self, text: frozenset[str]) -> list[str]:
         return [f"e{idx}" for idx in sorted({self.sys.keyword_evaluator(kw) for kw in text})]
 
-    def object_targets(self, o: SpatialKeywordObject) -> list[str]:
-        return self.keyword_targets(o.text)
+    def object_targets(self, o: SpatialKeywordObject
+                       ) -> tuple[tuple[int, int] | None, list[str]]:
+        return None, self.keyword_targets(o.text)
 
     def route_query(self, q: ContinuousQuery) -> None:
         for ename in self.keyword_targets(q.text):
@@ -800,7 +835,7 @@ class TextualEvaluator(EvaluatorWorker):
         self.flat = CellIndex()
         self.registry: dict[int, ContinuousQuery] = {}
 
-    def handle_object(self, o: SpatialKeywordObject) -> None:
+    def handle_object(self, o: SpatialKeywordObject, coord: tuple[int, int] | None) -> None:
         sys = self.sys
         cand = self.flat.candidates(o.text)
         sys.counters["candidates"] += len(cand)
@@ -876,11 +911,14 @@ class System:
         self.metrics: list[dict] = []
         self.decisions: list[dict] = []
         self.channels: dict[tuple, deque] = {}
+        self._depth: Counter = Counter()  # per channel: queued objects plus other messages
         self._send_seq: Counter = Counter()
         self._deliver_seq: Counter = Counter()
         self.scheduler = Scheduler(cfg.seed, cfg.policy)
         self._ingest_rng = random.Random(cfg.seed + 0x5EED)
         self._ingest_rr = 0
+        # router -> objects ingested for it since the last delivery
+        self._ingested: defaultdict[str, list] = defaultdict(list)
         self.delivered_total = 0
         self.peak_channel_depth = 0
         self.now = 0
@@ -896,15 +934,19 @@ class System:
     # -- transport ------------------------------------------------------------------
 
     def send(self, sender: str, receiver: str, kind: MsgKind, **payload) -> None:
+        """Queue a message; a DATA_OBJECT carries a batch and counts as its objects."""
         key = (sender, receiver)
         chan = self.channels.get(key)
         if chan is None:
             chan = self.channels[key] = deque()
         seq = self._send_seq[key]
         self._send_seq[key] = seq + 1
-        chan.append(Message(kind, payload, seq))
-        if len(chan) > self.peak_channel_depth:
-            self.peak_channel_depth = len(chan)
+        size = len(payload["objs"]) if kind is MsgKind.DATA_OBJECT else 1
+        chan.append(Message(kind, payload, seq, size))
+        depth = self._depth[key] + size
+        self._depth[key] = depth
+        if depth > self.peak_channel_depth:
+            self.peak_channel_depth = depth
         self.scheduler.enqueue(key)
 
     def _deliver(self, key: tuple) -> None:
@@ -914,21 +956,34 @@ class System:
             raise ProtocolViolation(
                 f"channel {key} delivered seq {msg.seq}, expected {expected}")
         self._deliver_seq[key] = expected + 1
-        self.delivered_total += 1
+        self._depth[key] -= msg.size
+        self.delivered_total += msg.size
         self.workers[key[1]].handle(msg)
+
+    def _send_ingested(self) -> None:
+        """One DATA_OBJECT per router for everything ingested since the last delivery."""
+        for rname, objs in self._ingested.items():
+            self.send("in", rname, MsgKind.DATA_OBJECT, objs=objs)
+        self._ingested.clear()
 
     def tick(self) -> bool:
         """Deliver one message; False when every channel is empty."""
+        if self._ingested:
+            self._send_ingested()
         key = self.scheduler.pick(self.channels)
         if key is None:
             return False
+        before = self.delivered_total
         self._deliver(key)
-        if self.delivered_total % self.cfg.stats_cadence == 0 and self.pm:
+        cadence = self.cfg.stats_cadence
+        if self.delivered_total // cadence != before // cadence and self.pm:
             self.workers[self.coordinator].request_stats()
         return True
 
     def step_channel(self, sender: str, receiver: str) -> bool:
         """Deliver one message from a specific channel (test hook)."""
+        if self._ingested:
+            self._send_ingested()
         chan = self.channels.get((sender, receiver))
         if not chan:
             return False
@@ -959,10 +1014,12 @@ class System:
                 f"object timestamps must be non-decreasing ({o.ts} < {self.now})")
         self.now = o.ts
         heapq.heappush(self._wm_heap, o.ts)
-        self.send("in", self._pick_router(), MsgKind.DATA_OBJECT, obj=o)
+        self._ingested[self._pick_router()].append(o)
 
     def ingest_query(self, q: ContinuousQuery) -> None:
         self.check_query(q)
+        if self._ingested:  # keeps each ingest channel in ingest order
+            self._send_ingested()
         self.send("in", self._pick_router(), MsgKind.QUERY, query=q)
 
     # -- object-liveness watermark -------------------------------------------------------
@@ -978,8 +1035,10 @@ class System:
         """Smallest object timestamp that may still be in flight."""
         heap, dead = self._wm_heap, self._wm_dead
         while heap and dead[heap[0]]:
-            dead[heap[0]] -= 1
-            heapq.heappop(heap)
+            ts = heapq.heappop(heap)
+            dead[ts] -= 1
+            if not dead[ts]:
+                del dead[ts]  # one key per distinct timestamp would pile up
         return heap[0] if heap else self.now
 
     # -- outputs ---------------------------------------------------------------------

@@ -188,12 +188,13 @@ class TestDataPath:
         assert s.counters["forwarded_objects"] == 2
 
     def test_out_of_world_objects_are_counted_not_crashed(self):
-        s = small_system()
-        s.ingest_object(SpatialKeywordObject(1, Point(0.5, 1.5), frozenset(["x"]), 1))
-        s.drain()
-        assert s.counters["out_of_world"] == 1
-        assert s.results == []
-        assert s.watermark() == 1  # retired, nothing stuck in flight
+        for mode in ("agrid", "broadcast"):
+            s = small_system(mode=mode)
+            s.ingest_object(SpatialKeywordObject(1, Point(0.5, 1.5), frozenset(["x"]), 1))
+            s.drain()
+            assert s.counters["out_of_world"] == 1
+            assert s.results == []
+            assert s.watermark() == 1  # retired, nothing stuck in flight
 
     def test_ingest_rejects_time_travel(self):
         s = small_system()
@@ -209,6 +210,18 @@ class TestDataPath:
         s.ingest_object(mk_o(2, (7, 7), ["k"], 2))
         s.drain()
         assert sorted_results(s) == [(1, 1, 1), (1, 2, 2)]
+
+    def test_watermark_state_empties_once_drained(self):
+        s = small_system()
+        s.ingest_query(mk_q(1, (0, 0, 7, 7), ["k"]))
+        s.drain()
+        for ts in range(1, 61):
+            # every fifth object is dropped by the summary gate at its router
+            s.ingest_object(mk_o(ts, (ts % 8, ts // 8), ["k" if ts % 5 else "zzz"], ts))
+        s.drain()
+        assert s.watermark() == 60
+        assert len(s._wm_dead) == 0
+        assert s._wm_heap == []
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +405,40 @@ class TestAbortedRebalance:
         assert [tuple(r) for r in s.results[n0:]] == [(1, 500, 100)]
 
 
+class TestBatchAcrossAMigration:
+    def test_batch_queued_before_the_shift_is_forwarded_after_it(self):
+        s = shift_fixture()
+        coord, e0 = s.workers["r0"], s.workers["e0"]
+        s.trigger_stats()
+        drain_until(s, lambda: coord.op is not None)
+        # the op moves column 3 from e0 to e1 (see TestShiftRebalance)
+        objs = [mk_o(700 + k, (1 + 2 * (k % 2), k % 8), ["alpha"], 700 + k)
+                for k in range(12)]
+        for o in objs:
+            s.ingest_object(o)
+        n0 = len(s.results)
+        s.step_channel("in", "r1")  # r1 routes its share under the old map
+        held = ("r1", "e0")
+        (batch,) = s.channels[held]
+        assert batch.kind is MsgKind.DATA_OBJECT and batch.size > 1
+        moved = {o.oid for o, cell in batch.payload["objs"] if cell[0] == 3}
+        assert moved
+
+        # r1 carries no protocol traffic to e0, so the op completes around
+        # the held batch, and e0 extracts column 3 before the batch arrives
+        while coord.op is not None:
+            s.step_channel(*min(k for k, chan in s.channels.items() if chan and k != held))
+        assert e0.state.bounds == (0, 0, 2, 7)
+        assert e0.forward_table == [((3, 0, 3, 7), "e1")]
+        s.step_channel(*held)
+        fwd = [m.payload["obj"].oid for m in s.channels.get(("e0", "e1"), ())
+               if m.kind is MsgKind.FORWARDED_TUPLE and m.payload["inner"] == "object"]
+        assert sorted(fwd) == sorted(moved)
+        s.drain()
+        want = expected_matches([mk_q(1, (0, 0, 3, 7), ["alpha"])], objs)
+        assert sorted(map(tuple, s.results[n0:])) == want
+
+
 class TestRoundAcrossAnOp:
     def test_round_that_spans_an_op_starts_nothing(self):
         cfg = SystemConfig(
@@ -551,14 +598,16 @@ class TestForwardingChains:
         n0 = len(s.results)
         # a straggler addressed to the old owner: e1's newer table entry must
         # route it back to e0, which owns the cell again
-        s.send("test", "e1", MsgKind.DATA_OBJECT, obj=mk_o(950, (3, 5), ["alpha"], 900))
+        s.send("test", "e1", MsgKind.DATA_OBJECT,
+               objs=[(mk_o(950, (3, 5), ["alpha"], 900), (3, 5))])
         s.drain()
         assert sorted(map(tuple, s.results[n0:])) == [(1, 950, 900)]
 
         # addressed to the current owner: handled locally despite the stale
         # outbound entry still sitting in its table
         n1 = len(s.results)
-        s.send("test", "e0", MsgKind.DATA_OBJECT, obj=mk_o(951, (3, 5), ["alpha"], 901))
+        s.send("test", "e0", MsgKind.DATA_OBJECT,
+               objs=[(mk_o(951, (3, 5), ["alpha"], 901), (3, 5))])
         s.drain()
         assert sorted(map(tuple, s.results[n1:])) == [(1, 951, 901)]
 
