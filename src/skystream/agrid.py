@@ -16,7 +16,7 @@ cells and each discovered partition pushes at most two, bounding pops by
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -96,13 +96,17 @@ class GridGeometry:
     world: Rect = WORLD_UNIT
 
     def cell_of(self, loc: Point) -> tuple[int, int]:
+        # once per object: unpacked rather than going through Rect.contains
+        x, y = loc
         w = self.world
-        if not w.contains(loc):
+        xmin, ymin, xmax, ymax = w.xmin, w.ymin, w.xmax, w.ymax
+        if not (xmin <= x < xmax and ymin <= y < ymax):
             raise OutOfWorldError(f"{loc} outside world {w}")
-        i = int((loc.x - w.xmin) / w.width * self.n)
-        j = int((loc.y - w.ymin) / w.height * self.m)
+        n, m = self.n, self.m
+        i = int((x - xmin) / (xmax - xmin) * n)
+        j = int((y - ymin) / (ymax - ymin) * m)
         # Float edge: clamp keeps boundary points in the last cell.
-        return (min(i, self.n - 1), min(j, self.m - 1))
+        return (i if i < n else n - 1, j if j < m else m - 1)
 
     def cell_range(self, rect: Rect) -> CellRect:
         """Cells overlapping `rect` (clipped to the world), inclusive bounds."""
@@ -175,7 +179,9 @@ class AGrid:
         return self.geom.cell_range(rect)
 
     def owner_of(self, cell: tuple[int, int]) -> int:
-        return int(self.cell_owner[cell[0], cell[1]])
+        # ndarray.item with a tuple index returns a Python int, without the
+        # numpy scalar that indexing would build
+        return self.cell_owner.item(cell)
 
     # -- routing ----------------------------------------------------------
 
@@ -394,7 +400,8 @@ class RouterSummaries:
         self.base: dict[int, set[str]] = {}
         # pid -> origin -> OrderedDict(seq -> contribution)
         self.regs: dict[int, dict[tuple, OrderedDict]] = {}
-        self.kw_count: dict[int, Counter] = {}
+        # pid -> keyword -> pending entries contributing it; positive counts only
+        self.kw_count: dict[int, dict[str, int]] = {}
         self.expected_epoch: dict[int, int] = {}
         self.uview: dict[int, int] = {}
 
@@ -403,7 +410,9 @@ class RouterSummaries:
         if seq in per_origin:
             return
         per_origin[seq] = kws
-        self.kw_count.setdefault(pid, Counter()).update(kws)
+        counts = self.kw_count.setdefault(pid, {})
+        for kw in kws:
+            counts[kw] = counts.get(kw, 0) + 1
 
     def apply_refresh(self, pid: int, kws: Iterable[str], vector: dict[tuple, int], epoch: int) -> bool:
         """Install a rebuilt summary; False when a stale epoch discards it."""
@@ -418,8 +427,12 @@ class RouterSummaries:
                 if seq > seen:
                     break
                 del entries[seq]
-                if counts:
-                    counts.subtract(contrib)
+                for kw in contrib:
+                    left = counts[kw] - 1
+                    if left:
+                        counts[kw] = left
+                    else:
+                        del counts[kw]
         if epoch == self.expected_epoch.get(pid, 0):
             self.uview.pop(pid, None)
         return True
@@ -436,28 +449,21 @@ class RouterSummaries:
         self.kw_count.pop(pid, None)
         self.uview.pop(pid, None)
 
-    def _contains(self, pid: int, kw: str) -> bool:
-        base = self.base.get(pid)
-        if base and kw in base:
-            return True
-        counts = self.kw_count.get(pid)
-        return bool(counts) and counts[kw] > 0
-
     def should_forward(self, pid: int, o_text: frozenset[str]) -> bool:
         pids = (pid, self.uview[pid]) if pid in self.uview else (pid,)
         for p in pids:
-            if self._contains(p, ANY_KEYWORD):
+            base = self.base.get(p, ())
+            counts = self.kw_count.get(p, ())
+            if ANY_KEYWORD in base or ANY_KEYWORD in counts:
                 return True
             for kw in o_text:
-                if self._contains(p, kw):
+                if kw in base or kw in counts:
                     return True
         return False
 
     def effective_set(self, pid: int) -> frozenset[str]:
         out: set[str] = set(self.base.get(pid, ()))
-        counts = self.kw_count.get(pid)
-        if counts:
-            out.update(k for k, c in counts.items() if c > 0)
+        out.update(self.kw_count.get(pid, ()))
         if pid in self.uview:
             out |= self.effective_set(self.uview[pid])
         return frozenset(out)

@@ -75,11 +75,16 @@ class CellIndex:
         self.spatial_only: set[int] = set()  # INSIDE queries, no keywords
 
     def candidates(self, o_text: frozenset[str]) -> set[int]:
-        found = set(self.spatial_only)
+        """Qids the object's keywords pull from this cell, for reading only.
+
+        When one list contributes, this is that list itself; a copy is made
+        only to union a second one in.
+        """
+        found = self.spatial_only
         for kw in o_text:
             hits = self.inverted.get(kw)
             if hits:
-                found |= hits
+                found = found | hits if found else hits
         return found
 
 
@@ -164,7 +169,8 @@ class EvaluatorState:
         self.contract_misses = 0
         # cleaning cursor: index into the row-major enumeration of owned cells
         self._cursor = 0
-        # no registered query expires before this; lowered on registration
+        # no registered query expires before this; lowered on registration,
+        # raised again at the end of a cleaning cycle
         self._expiry_floor = float("inf")
 
     # -- basic geometry ----------------------------------------------------
@@ -268,16 +274,19 @@ class EvaluatorState:
             return []
         cand = cell.candidates(o.text)
         q_l = len(cand)
-        if q_l:
-            cell.cost += q_l
-            self.col_cost[coord[0]] += q_l
-            self.row_cost[coord[1]] += q_l
-            self.overall_cost += q_l
+        if not q_l:
+            return []
+        cell.cost += q_l
+        self.col_cost[coord[0]] += q_l
+        self.row_cost[coord[1]] += q_l
+        self.overall_cost += q_l
+        registry = self.registry
+        ts = o.ts
         out: list[MatchResult] = []
-        for qid in sorted(cand):
-            q = self.registry[qid]
-            if o.ts <= q.expiry and matches(o, q):
-                out.append(MatchResult(qid, o.oid, o.ts))
+        for qid in sorted(cand) if q_l > 1 else cand:
+            q = registry[qid]
+            if ts <= q.expiry and matches(o, q):
+                out.append(MatchResult(qid, o.oid, ts))
         return out
 
     # -- expiry / cleaning ----------------------------------------------------
@@ -326,6 +335,12 @@ class EvaluatorState:
         self._cursor = end
         if self._cursor >= total:
             self._cursor = 0
+            if self._expiry_floor < watermark:
+                # a full cycle has evicted what it could: raise the floor to
+                # what is still registered, so an expired query no longer
+                # forces every later step to scan
+                self._expiry_floor = min(
+                    (q.expiry for q in self.registry.values()), default=float("inf"))
             return self.summary_set()
         return None
 

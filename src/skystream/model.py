@@ -155,12 +155,16 @@ def matches(o: SpatialKeywordObject, q: ContinuousQuery) -> bool:
     """Full predicate evaluation, ignoring expiry.
 
     INSIDE is purely spatial; OVERLAPS and CONTAINS require the spatial test
-    plus their textual condition.
+    plus their textual condition. It runs once per candidate, so the tests
+    of `inside`, `overlaps_text` and `contains_text` are inlined here.
     """
-    if not inside(o.loc, q.mbr):
+    x, y = o.loc
+    r = q.mbr
+    if not (r.xmin <= x < r.xmax and r.ymin <= y < r.ymax):
         return False
-    if q.predicate is Predicate.INSIDE:
+    pred = q.predicate
+    if pred is Predicate.INSIDE:
         return True
-    if q.predicate is Predicate.OVERLAPS:
-        return overlaps_text(o.text, q.text)
-    return contains_text(o.text, q.text)
+    if pred is Predicate.OVERLAPS:
+        return not o.text.isdisjoint(q.text)
+    return q.text <= o.text

@@ -35,7 +35,6 @@ and delivery counts and channel depths count the objects in a batch.
 
 from __future__ import annotations
 
-import heapq
 import random
 import zlib
 from collections import Counter, defaultdict, deque
@@ -560,7 +559,8 @@ class EvaluatorWorker:
         delta = st.overall_cost - before
         self.window_cost += delta
         sys.counters["candidates"] += self.candidate_charge(delta)
-        sys.emit(out)
+        if out:
+            sys.emit(out)
         sys.retire(o.ts)
 
     def candidate_charge(self, cost_delta: int) -> int:
@@ -922,8 +922,9 @@ class System:
         self.delivered_total = 0
         self.peak_channel_depth = 0
         self.now = 0
-        self._wm_heap: list[int] = []
-        self._wm_dead: Counter = Counter()
+        # object timestamp -> copies in flight; ingest timestamps never
+        # decrease, so insertion order is timestamp order
+        self._inflight: dict[int, int] = {}
         self.check_query = router_cls.check_query
         self.workers: dict[str, Any] = {}
         for i, rname in enumerate(self.router_names):
@@ -1013,7 +1014,8 @@ class System:
             raise ValueError(
                 f"object timestamps must be non-decreasing ({o.ts} < {self.now})")
         self.now = o.ts
-        heapq.heappush(self._wm_heap, o.ts)
+        inflight = self._inflight
+        inflight[o.ts] = inflight.get(o.ts, 0) + 1
         self._ingested[self._pick_router()].append(o)
 
     def ingest_query(self, q: ContinuousQuery) -> None:
@@ -1025,21 +1027,23 @@ class System:
     # -- object-liveness watermark -------------------------------------------------------
 
     def note_extra_inflight(self, ts: int, k: int) -> None:
-        for _ in range(k):
-            heapq.heappush(self._wm_heap, ts)
+        if k:
+            inflight = self._inflight
+            inflight[ts] = inflight.get(ts, 0) + k
 
     def retire(self, ts: int) -> None:
-        self._wm_dead[ts] += 1
+        """One copy of an object stamped `ts` is done. A copy that was never
+        ingested (one put straight onto a channel) may have no entry."""
+        inflight = self._inflight
+        left = inflight.get(ts, 0) - 1
+        if left > 0:
+            inflight[ts] = left
+        elif left == 0:
+            del inflight[ts]
 
     def watermark(self) -> int:
         """Smallest object timestamp that may still be in flight."""
-        heap, dead = self._wm_heap, self._wm_dead
-        while heap and dead[heap[0]]:
-            ts = heapq.heappop(heap)
-            dead[ts] -= 1
-            if not dead[ts]:
-                del dead[ts]  # one key per distinct timestamp would pile up
-        return heap[0] if heap else self.now
+        return next(iter(self._inflight), self.now)
 
     # -- outputs ---------------------------------------------------------------------
 

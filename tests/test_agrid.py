@@ -252,6 +252,28 @@ class TestRouterSummaries:
         s.add_entry(2, ("r", 1), 0, frozenset({ANY_KEYWORD}))
         assert s.should_forward(2, frozenset({"whatever"}))
 
+    def test_counts_hold_only_pending_contributions(self):
+        u = RoutingUnit(0, AGrid(4, 4, {0: (0, 0, 3, 3)}))
+        for qid, text in enumerate([("coffee", "tea"), ("coffee",), ("beans", "tea")]):
+            u.register_query(make_query(qid=qid, text=text))
+        u.register_query(ContinuousQuery(9, Rect(0.1, 0.1, 0.2, 0.2), frozenset(),
+                                         Predicate.INSIDE, 10**9))
+        s = u.summaries
+        # a forwarded entry from the other replica stays pending
+        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}))
+        before = s.effective_set(0)
+        # the evaluator has incorporated every registration of replica 0 and
+        # reports a rebuilt set that still holds all of them
+        assert u.apply_refresh(0, before - {"mocha"}, {("r", 0): 3}, 0)
+        counts = s.kw_count[0]
+        assert all(c > 0 for c in counts.values())
+        assert counts == {"mocha": 1, "tea": 1}
+        assert s.effective_set(0) == before
+        # once the last pending entry is proven, nothing is left behind
+        u.apply_refresh(0, before, {("r", 0): 3, ("r", 1): 0}, 0)
+        assert s.kw_count[0] == {}
+        assert s.effective_set(0) == before
+
 
 class TestRoutingUnit:
     def unit(self, uid=0):

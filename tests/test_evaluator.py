@@ -392,6 +392,18 @@ class TestCleaning:
         assert 1 in ev.registry
         assert [r.qid for r in ev.process_object(make_object(g, 1, 0, 0, ts=10))] == [1]
 
+    def test_a_full_cycle_raises_the_expiry_floor(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 0, 0, expiry=5, text=("old",)))
+        ev.register_query(make_query(g, 2, 0, 0, 3, 3, expiry=50, text=("new",)))
+        assert ev._expiry_floor == 5
+        while ev.cleaning_step(watermark=10, budget=4) is None:
+            pass
+        assert set(ev.registry) == {2}
+        # no step scans again until the watermark passes what is left
+        assert ev._expiry_floor == 50
+
     def test_budget_paces_the_cursor(self):
         g = GridGeometry(4, 4)
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
@@ -589,6 +601,8 @@ def test_random_operations_keep_books_balanced(data):
             ev.expire_queries(data.draw(st.integers(0, 30)))
         else:
             ev.cleaning_step(data.draw(st.integers(0, 30)), budget=data.draw(st.integers(1, 9)))
+        # the scan is skipped below the floor, so it must never pass a live query
+        assert all(ev._expiry_floor <= q.expiry for q in ev.registry.values())
     check_aggregates(ev)
     check_summary(ev)
 

@@ -220,8 +220,41 @@ class TestDataPath:
             s.ingest_object(mk_o(ts, (ts % 8, ts // 8), ["k" if ts % 5 else "zzz"], ts))
         s.drain()
         assert s.watermark() == 60
-        assert len(s._wm_dead) == 0
-        assert s._wm_heap == []
+        assert s._inflight == {}
+
+    def test_watermark_waits_for_the_last_broadcast_copy(self):
+        s = System(SystemConfig(grid_n=8, grid_m=8, routers=1, evaluators=3, seed=1,
+                                mode="broadcast", stats_cadence=BIG, clean_interval=BIG))
+        s.ingest_object(mk_o(1, (1, 1), ["a"], 7))
+        assert s.step_channel("in", "r0")
+        s.ingest_object(mk_o(2, (6, 6), ["a"], 9))
+        assert s.step_channel("in", "r0")
+        # e0 and e1 finish both objects; e2 still holds a copy of each
+        for ename in ("e0", "e1"):
+            assert s.step_channel("r0", ename)
+            assert s.step_channel("r0", ename)
+        assert s._inflight == {7: 1, 9: 1}
+        assert s.watermark() == 7
+        assert s.step_channel("r0", "e2")
+        assert s.watermark() == 9
+        s.drain()
+        assert s._inflight == {}
+        assert s.watermark() == 9
+
+    def test_a_straggler_sent_outside_ingest_leaves_no_inflight_state(self):
+        s = small_system()
+        s.ingest_query(mk_q(1, (0, 0, 7, 7), ["k"]))
+        s.drain()
+        s.ingest_object(mk_o(1, (1, 1), ["k"], 3))
+        # never ingested, so it has no in-flight entry of its own to retire
+        s.send("test", "e0", MsgKind.DATA_OBJECT,
+               objs=[(mk_o(2, (2, 2), ["k"], 3), (2, 2))])
+        s.send("test", "e1", MsgKind.DATA_OBJECT,
+               objs=[(mk_o(3, (5, 5), ["k"], 4), (5, 5))])
+        s.drain()
+        assert sorted_results(s) == [(1, 1, 3), (1, 2, 3), (1, 3, 4)]
+        assert s._inflight == {}
+        assert s.watermark() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +816,70 @@ class TestManyInterleavings:
         a = snapshot(run_interleaved(queries, objects, 7))
         b = snapshot(run_interleaved(queries, objects, 7))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# bounded state over a long adaptive run
+
+
+def pending_contributions(summaries, pid):
+    """Keyword counts of a router's pending entries for `pid`."""
+    want: dict[str, int] = {}
+    for entries in summaries.regs.get(pid, {}).values():
+        for kws in entries.values():
+            for kw in kws:
+                want[kw] = want.get(kw, 0) + 1
+    return want
+
+
+class TestBoundedState:
+    def test_soak_keeps_inflight_and_summary_counts_live(self):
+        cfg = SystemConfig(
+            grid_n=16, grid_m=16, routers=2, evaluators=3, seed=11,
+            beta=0.02, stats_cadence=150, clean_interval=4, adaptive=True,
+        )
+        s = System(cfg)
+        rng = random.Random(11)
+        qid = oid = ts = 0
+        for phase in range(8):
+            # the hotspot walks the diagonal, so the balancer keeps moving cells
+            cx = cy = 0.15 + 0.1 * phase
+            for _ in range(25):
+                qid += 1
+                r = rng.random()
+                pred = (Predicate.INSIDE if r < 0.1
+                        else Predicate.OVERLAPS if r < 0.6 else Predicate.CONTAINS)
+                kws = frozenset() if pred is Predicate.INSIDE else frozenset(
+                    rng.sample(WORDS, rng.randint(1, 2)))
+                x0 = min(max(rng.gauss(cx, 0.05), 0.0), 0.95)
+                y0 = min(max(rng.gauss(cy, 0.05), 0.0), 0.95)
+                mbr = Rect(x0, y0, x0 + rng.uniform(0.01, 0.05), y0 + rng.uniform(0.01, 0.05))
+                s.ingest_query(ContinuousQuery(qid, mbr, kws, pred, ts + rng.randint(40, 250)))
+            for _ in range(150):
+                oid += 1
+                ts += 1  # distinct timestamps
+                x = min(max(rng.gauss(cx, 0.06), 0.0), 0.999)
+                y = min(max(rng.gauss(cy, 0.06), 0.0), 0.999)
+                kws = frozenset(rng.sample(OBJECT_WORDS, rng.randint(1, 3)))
+                s.ingest_object(SpatialKeywordObject(oid, Point(x, y), kws, ts))
+                for _ in range(rng.randint(0, 6)):
+                    if not s.tick():
+                        break
+            s.drain()
+            assert s._inflight == {}, f"phase {phase}"
+            assert not s._ingested
+            for rname in s.router_names:
+                summaries = s.workers[rname].unit.summaries
+                for pid in set(summaries.kw_count) | set(summaries.regs):
+                    assert (summaries.kw_count.get(pid, {})
+                            == pending_contributions(summaries, pid)), (phase, rname, pid)
+        assert s.counters["rebalance_count"] >= 3
+        assert s.counters["forwarded_objects"] + s.counters["dropped_by_summary"] == oid
+        # refreshes did prune: far fewer entries are pending than were registered
+        unit = s.workers["r0"].unit
+        pending = sum(len(e) for per in unit.summaries.regs.values() for e in per.values())
+        registered = sum(sum(s.workers[r].unit.reg_seq.values()) for r in s.router_names)
+        assert pending < registered // 2
 
 
 # ---------------------------------------------------------------------------
