@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from math import ceil, floor
 from typing import Iterable
 
 import numpy as np
@@ -110,19 +111,41 @@ class GridGeometry:
 
     def cell_range(self, rect: Rect) -> CellRect:
         """Cells overlapping `rect` (clipped to the world), inclusive bounds."""
-        clipped = rect.clip(self.world)
-        if clipped is None:
-            raise EmptyIntersectionError(f"{rect} does not intersect world")
+        # clips as Rect.clip does, by comparing floats (on a tie the rect's
+        # own value is kept, as max and min keep their first argument), but
+        # without building the clipped Rect
         w = self.world
-        sx = self.n / w.width
-        sy = self.m / w.height
-        x0 = int(math.floor((clipped.xmin - w.xmin) * sx))
-        y0 = int(math.floor((clipped.ymin - w.ymin) * sy))
-        x1 = int(math.ceil((clipped.xmax - w.xmin) * sx)) - 1
-        y1 = int(math.ceil((clipped.ymax - w.ymin) * sy)) - 1
-        x0, y0 = max(x0, 0), max(y0, 0)
-        x1 = min(max(x1, x0), self.n - 1)
-        y1 = min(max(y1, y0), self.m - 1)
+        wx0, wy0, wx1, wy1 = w.xmin, w.ymin, w.xmax, w.ymax
+        xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+        if wx0 > xmin:
+            xmin = wx0
+        if wy0 > ymin:
+            ymin = wy0
+        if wx1 < xmax:
+            xmax = wx1
+        if wy1 < ymax:
+            ymax = wy1
+        if xmin >= xmax or ymin >= ymax:
+            raise EmptyIntersectionError(f"{rect} does not intersect world")
+        n, m = self.n, self.m
+        sx = n / (wx1 - wx0)
+        sy = m / (wy1 - wy0)
+        x0 = floor((xmin - wx0) * sx)
+        y0 = floor((ymin - wy0) * sy)
+        x1 = ceil((xmax - wx0) * sx) - 1
+        y1 = ceil((ymax - wy0) * sy) - 1
+        if x0 < 0:
+            x0 = 0
+        if y0 < 0:
+            y0 = 0
+        if x1 < x0:
+            x1 = x0
+        if x1 > n - 1:
+            x1 = n - 1
+        if y1 < y0:
+            y1 = y0
+        if y1 > m - 1:
+            y1 = m - 1
         return (x0, y0, x1, y1)
 
 
@@ -506,10 +529,13 @@ class RoutingUnit:
         targets = self.grid.neighbor_search(q.mbr)
         contribution = summary_contribution(q, self.cfg)
         entries: list[tuple[int, int, frozenset[str]]] = []
+        origin = self.origin
+        reg_seq = self.reg_seq
+        add_entry = self.summaries.add_entry
         for pid in targets:
-            seq = self.reg_seq.get(pid, 0)
-            self.reg_seq[pid] = seq + 1
-            self.summaries.add_entry(pid, self.origin, seq, contribution)
+            seq = reg_seq.get(pid, 0)
+            reg_seq[pid] = seq + 1
+            add_entry(pid, origin, seq, contribution)
             entries.append((pid, seq, contribution))
         return RoutingDecision(targets, contribution, entries)
 

@@ -3,10 +3,16 @@
 An evaluator owns one rectangular region of the fine grid. Queries are
 attached to the inverted list of every owned cell their MBR overlaps, so a
 cell is a self-contained unit that can migrate to another evaluator during
-rebalancing. Everything aggregated here (costs, query attachment counts,
-summary keyword refcounts) is a sum of per-cell quantities for exactly that
-reason: extract and absorb move cells and their share of every aggregate,
-and the books still balance on both sides.
+rebalancing. The cost and attachment aggregates are sums of per-cell
+quantities for exactly that reason: extract and absorb move cells and their
+share of every aggregate, and the books still balance on both sides.
+
+Summary keyword refcounts are counted per registered query instead: a query
+adds its contribution once when it enters the registry (its first attached
+cell) and takes it away once when it leaves (its last cell detached, by
+eviction or extraction). A migrated query is registered on each side that
+holds one of its cells, so each side counts it exactly while it can match
+there, and the summary set is the same as a per-cell count would give.
 
 Cost follows the candidate-count model: processing an object in a cell adds
 the number of candidate queries its keywords pull from the cell's inverted
@@ -164,9 +170,8 @@ class EvaluatorState:
         self.row_q: Counter = Counter()
         self.col_q: Counter = Counter()
         self.overall_q = 0
-        self.summary_counts: Counter = Counter()
-        self.duplicate_registrations = 0
-        self.contract_misses = 0
+        # keyword -> registered queries contributing it; positive counts only
+        self.summary_counts: dict[str, int] = {}
         # cleaning cursor: index into the row-major enumeration of owned cells
         self._cursor = 0
         # no registered query expires before this; lowered on registration,
@@ -193,56 +198,67 @@ class EvaluatorState:
 
     # -- registration ------------------------------------------------------
 
-    def query_cells(self, q: ContinuousQuery) -> CellRect | None:
-        """Owned part of the query's cell range, or None."""
-        if self.bounds is None:
-            return None
-        return rect_intersect(self.geom.cell_range(q.mbr), self.bounds)
-
-    def register_query(self, q: ContinuousQuery) -> int:
+    def register_query(self, q: ContinuousQuery, crange: CellRect | None = None) -> int:
         """Attach a query to every owned cell its MBR overlaps.
 
-        Returns the number of cells newly attached. Re-registration over
-        already-attached cells is an idempotent drop (counted); arriving by
-        a second path with new cells merges cleanly.
+        `crange` is the query's cell range when the caller has it. Returns
+        the number of cells newly attached: re-registration over cells
+        already attached is an idempotent drop, and arriving by a second
+        path with new cells merges cleanly.
         """
-        region = self.query_cells(q)
+        bounds = self.bounds
+        if bounds is None:
+            return 0
+        if crange is None:
+            crange = self.geom.cell_range(q.mbr)
+        region = rect_intersect(crange, bounds)
         if region is None:
-            self.contract_misses += 1
             return 0
         record = self.registry.get(q.qid, q)
+        qid = record.qid
+        text = None if record.predicate is Predicate.INSIDE else record.text
+        cells = self.cells
+        attach = self._attach_cell
         added = 0
-        for coord in iter_region(region):
-            cell = self._cell(coord)
-            if q.qid in cell.qids:
-                continue
-            self._attach(record, cell, coord)
-            added += 1
-        if added == 0:
-            self.duplicate_registrations += 1
+        x0, y0, x1, y1 = region
+        for j in range(y0, y1 + 1):
+            for i in range(x0, x1 + 1):
+                coord = (i, j)
+                cell = cells.get(coord)
+                if cell is None:
+                    cell = cells[coord] = CellIndex()
+                added += attach(cell, coord, qid, text)
+        if added:
+            self._admit(record, added)
         return added
 
-    def _attach(self, q: ContinuousQuery, cell: CellIndex, coord: tuple[int, int]) -> None:
-        cell.qids.add(q.qid)
-        if q.predicate is Predicate.INSIDE:
-            cell.spatial_only.add(q.qid)
+    def _attach_cell(self, cell: CellIndex, coord: tuple[int, int], qid: int,
+                     text: frozenset[str] | None) -> bool:
+        """Index `qid` in one cell, under `text` (None for INSIDE); False if there."""
+        qids = cell.qids
+        if qid in qids:
+            return False
+        qids.add(qid)
+        if text is None:
+            cell.spatial_only.add(qid)
         else:
-            for kw in q.text:
-                cell.inverted.setdefault(kw, set()).add(q.qid)
-        if q.qid not in self.registry:
-            self.registry[q.qid] = q
-            self._expiry_floor = min(self._expiry_floor, q.expiry)
-        self.attach_count[q.qid] = self.attach_count.get(q.qid, 0) + 1
+            inverted = cell.inverted
+            for kw in text:
+                hits = inverted.get(kw)
+                if hits is None:
+                    inverted[kw] = {qid}
+                else:
+                    hits.add(qid)
         self.col_q[coord[0]] += 1
         self.row_q[coord[1]] += 1
-        self.overall_q += 1
-        self.summary_counts.update(summary_contribution(q, self.summary_cfg))
+        return True
 
     def _detach(self, qid: int, cell: CellIndex, coord: tuple[int, int]) -> None:
         q = self.registry[qid]
         cell.qids.discard(qid)
-        cell.spatial_only.discard(qid)
-        if q.predicate is not Predicate.INSIDE:
+        if q.predicate is Predicate.INSIDE:
+            cell.spatial_only.discard(qid)
+        else:
             for kw in q.text:
                 hits = cell.inverted.get(kw)
                 if hits is not None:
@@ -251,14 +267,39 @@ class EvaluatorState:
                         del cell.inverted[kw]
         self.col_q[coord[0]] -= 1
         self.row_q[coord[1]] -= 1
-        self.overall_q -= 1
-        self.summary_counts.subtract(summary_contribution(q, self.summary_cfg))
-        remaining = self.attach_count[qid] - 1
-        if remaining:
-            self.attach_count[qid] = remaining
-        else:
-            del self.attach_count[qid]
-            del self.registry[qid]
+        self._retire(qid, 1)
+
+    def _admit(self, q: ContinuousQuery, added: int) -> None:
+        """Per-query side of attaching `q` to `added` more cells."""
+        qid = q.qid
+        self.overall_q += added
+        held = self.attach_count.get(qid)
+        if held is not None:
+            self.attach_count[qid] = held + added
+            return
+        self.attach_count[qid] = added
+        self.registry[qid] = q
+        if q.expiry < self._expiry_floor:
+            self._expiry_floor = q.expiry
+        counts = self.summary_counts
+        for kw in summary_contribution(q, self.summary_cfg):
+            counts[kw] = counts.get(kw, 0) + 1
+
+    def _retire(self, qid: int, removed: int) -> None:
+        """Per-query side of detaching `qid` from `removed` cells."""
+        self.overall_q -= removed
+        held = self.attach_count[qid] - removed
+        if held:
+            self.attach_count[qid] = held
+            return
+        del self.attach_count[qid]
+        counts = self.summary_counts
+        for kw in summary_contribution(self.registry.pop(qid), self.summary_cfg):
+            left = counts[kw] - 1
+            if left:
+                counts[kw] = left
+            else:
+                del counts[kw]
 
     # -- object evaluation ---------------------------------------------------
 
@@ -291,16 +332,27 @@ class EvaluatorState:
 
     # -- expiry / cleaning ----------------------------------------------------
 
-    def _evict_expired(self, coord: tuple[int, int], watermark: int) -> int:
-        cell = self.cells.get(coord)
-        if cell is None:
-            return 0
-        doomed = [qid for qid in cell.qids if self.registry[qid].expiry < watermark]
-        for qid in doomed:
-            self._detach(qid, cell, coord)
-        if not cell.qids and not cell.cost:
-            del self.cells[coord]
-        return len(doomed)
+    def _evict_span(self, start: int, end: int, watermark: int) -> None:
+        """Evict queries expiring before `watermark` from owned cells start..end-1.
+
+        Cells are numbered row-major over the bounds; a cell left with no
+        query and no cost history is dropped.
+        """
+        b = self.bounds
+        x0, y0 = b[0], b[1]
+        width = b[2] - x0 + 1
+        cells = self.cells
+        registry = self.registry
+        detach = self._detach
+        for k in range(start, end):
+            coord = (x0 + k % width, y0 + k // width)
+            cell = cells.get(coord)
+            if cell is None:
+                continue
+            for qid in [qid for qid in cell.qids if registry[qid].expiry < watermark]:
+                detach(qid, cell, coord)
+            if not cell.qids and not cell.cost:
+                del cells[coord]
 
     def expire_queries(self, now: int) -> int:
         """Sweep every owned cell, dropping queries with expiry <= now.
@@ -311,8 +363,7 @@ class EvaluatorState:
         if self.bounds is None:
             return 0
         before = len(self.registry)
-        for coord in list(self.cells.keys()):
-            self._evict_expired(coord, now + 1)
+        self._evict_span(0, self.owned_cell_count(), now + 1)
         return before - len(self.registry)
 
     def cleaning_step(self, watermark: int, budget: int) -> frozenset[str] | None:
@@ -325,13 +376,9 @@ class EvaluatorState:
         total = self.owned_cell_count()
         if total == 0:
             return self.summary_set()
-        b = self.bounds
-        width = b[2] - b[0] + 1
         end = min(self._cursor + max(1, budget), total)
         if self._expiry_floor < watermark:  # else no query can be evicted yet
-            for k in range(self._cursor, end):
-                coord = (b[0] + k % width, b[1] + k // width)
-                self._evict_expired(coord, watermark)
+            self._evict_span(self._cursor, end, watermark)
         self._cursor = end
         if self._cursor >= total:
             self._cursor = 0
@@ -467,7 +514,7 @@ class EvaluatorState:
                 records[qid] = self.registry[qid]
             self._forget_cell(coord, cell)
         self.bounds = remainder
-        self._cursor = 0
+        self._keep_cursor()
         return CellBatch(region=region, cells=cells, records=records)
 
     def _forget_cell(self, coord: tuple[int, int], cell: CellIndex) -> None:
@@ -485,6 +532,8 @@ class EvaluatorState:
             new_bounds = region
         else:
             new_bounds = union_rect(self.bounds, region)
+        records = batch.records
+        added: dict[int, int] = {}  # qid -> cells newly attached, in first-attach order
         for coord, cost, qids in batch.cells:
             if not rect_contains_cell(region, coord):
                 raise RegionMismatchError(f"cell {coord} outside batch region {region}")
@@ -495,11 +544,24 @@ class EvaluatorState:
                 self.row_cost[coord[1]] += cost
                 self.overall_cost += cost
             for qid in qids:
-                if qid in cell.qids:
-                    continue
-                self._attach(batch.records[qid], cell, coord)
+                q = records[qid]
+                text = None if q.predicate is Predicate.INSIDE else q.text
+                if self._attach_cell(cell, coord, qid, text):
+                    added[qid] = added.get(qid, 0) + 1
+        for qid, n in added.items():
+            self._admit(records[qid], n)
         self.bounds = new_bounds
-        self._cursor = 0
+        self._keep_cursor()
+
+    def _keep_cursor(self) -> None:
+        """Carry the cleaning cursor across a bounds change.
+
+        Restarting it would keep a partition that migrates more often than
+        a cycle lasts from ever completing one, and so from ever refreshing
+        its summary. The refresh is built from `summary_counts`, not from
+        the scan, so a cycle that spans a bounds change is still sound.
+        """
+        self._cursor = min(self._cursor, self.owned_cell_count())
 
 
 def strip_remainder(rect: CellRect | None, strip: CellRect) -> CellRect | None:

@@ -312,14 +312,15 @@ class RouterWorker:
         if not decision.targets:
             sys.counters["out_of_world"] += 1
             return
+        origin = self.unit.origin
         for pid, seq, kws in decision.entries:
             sys.send(self.name, f"e{pid}", MsgKind.QUERY,
-                     query=q, origin=self.unit.origin, seq=seq)
+                     query=q, origin=origin, seq=seq)
             if self.use_summaries:
                 for other in sys.router_names:
                     if other != self.name:
                         sys.send(self.name, other, MsgKind.KEYWORD_FORWARD,
-                                 origin=self.unit.origin, pid=pid, seq=seq, kws=kws)
+                                 origin=origin, pid=pid, seq=seq, kws=kws)
 
     # -- summary and map maintenance -------------------------------------------------
 
@@ -570,40 +571,46 @@ class EvaluatorWorker:
     # -- queries --------------------------------------------------------------------
 
     def handle_query(self, q: ContinuousQuery, origin: tuple | None, seq: int) -> None:
-        self.state.register_query(q)
+        crange = self.state.geom.cell_range(q.mbr)
+        self.state.register_query(q, crange)
         if origin is not None:
             prev = self.reg_seen.get(origin, -1)
             if seq <= prev:
                 raise ProtocolViolation(
                     f"{self.name} saw registration seq {seq} after {prev} from {origin}")
             self.reg_seen[origin] = seq
-        self.after_register(q)
+        self.after_register(q, crange)
 
     def handle_forwarded_query(self, q: ContinuousQuery,
                                cells: tuple | None) -> None:
-        if self.staging is not None and self.overlaps_region(q, self.staging.region):
+        crange = self.state.geom.cell_range(q.mbr)
+        stg = self.staging
+        if stg is not None and rect_intersect(crange, stg.region) is not None:
             # incoming-region cells are still staged; register after absorbing
-            if all(sq.qid != q.qid for sq in self.staging.queries):
-                self.staging.queries.append(q)
-        if self.state.register_query(q):
+            if all(sq.qid != q.qid for sq in stg.queries):
+                stg.queries.append(q)
+        if self.state.register_query(q, crange):
             self.broadcast_own_registration(q)
         chase = None if cells is None else frozenset(cells)
-        self.after_register(q, chase)
+        self.after_register(q, crange, chase)
 
-    def after_register(self, q: ContinuousQuery,
+    def after_register(self, q: ContinuousQuery, crange: CellRect,
                        chase: frozenset | None = None) -> None:
         """Post-registration forwarding shared by every arrival path.
 
-        `chase` limits the re-forward to the cells this arrival was handed
-        (None means the whole range, for a query entering the data plane).
+        `crange` is the query's cell range. `chase` limits the re-forward to
+        the cells this arrival was handed (None means the whole range, for a
+        query entering the data plane).
         Scoping each hop to its handed-off cells is what makes chains
         terminate: a cell only ever travels its own migration history, and
         the newest table entry always points at a strictly later tenure.
         """
-        sys = self.sys
-        crange = self.state.geom.cell_range(q.mbr)
         tr = self.transient
-        if tr is not None and not tr.extracted:
+        live = tr is not None and not tr.extracted
+        if not live and not self.forward_table:
+            return  # nothing has left this evaluator that the query could chase
+        sys = self.sys
+        if live:
             # live outgoing transfer: transmitted cells already left as copies
             overlap = rect_intersect(crange, tr.region)
             if overlap is not None:
@@ -633,9 +640,6 @@ class EvaluatorWorker:
         for peer, cs in targets.items():
             sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
                      inner="query", query=q, cells=tuple(cs))
-
-    def overlaps_region(self, q: ContinuousQuery, region: CellRect) -> bool:
-        return rect_intersect(self.state.geom.cell_range(q.mbr), region) is not None
 
     def broadcast_own_registration(self, q: ContinuousQuery) -> None:
         """Re-registered queries join the summaries under this evaluator's name."""
@@ -737,9 +741,10 @@ class EvaluatorWorker:
         self.staging = None
         region_cells = frozenset(iter_region(stg.region))
         for q in stg.queries:
-            if self.state.register_query(q):
+            crange = self.state.geom.cell_range(q.mbr)
+            if self.state.register_query(q, crange):
                 self.broadcast_own_registration(q)
-            self.after_register(q, region_cells)
+            self.after_register(q, crange, region_cells)
         self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                       verb="absorbed", op_id=stg.op_id, tid=stg.tid)
 

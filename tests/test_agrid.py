@@ -1,11 +1,15 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skystream.agrid import (
     ANY_KEYWORD,
     AGrid,
     EmptyIntersectionError,
+    GridGeometry,
     NoOverlapError,
     OutOfWorldError,
     RouterSummaries,
@@ -64,6 +68,108 @@ class TestCellGeometry:
             AGrid(4, 4, {0: (0, 0, 3, 2)})  # top row uncovered
         with pytest.raises(TilingError):
             AGrid(4, 4, {0: (0, 0, 3, 3), 1: (0, 0, 0, 0)})  # overlap
+
+
+def reference_cell_range(geom: GridGeometry, rect: Rect):
+    """The cell range computed through the clipped Rect, as Rect.clip builds it.
+
+    A copy kept apart from the program, so the float expressions of
+    `GridGeometry.cell_range` stay pinned bit for bit. None for no overlap.
+    """
+    w = geom.world
+    xmin = max(rect.xmin, w.xmin)
+    ymin = max(rect.ymin, w.ymin)
+    xmax = min(rect.xmax, w.xmax)
+    ymax = min(rect.ymax, w.ymax)
+    if xmin >= xmax or ymin >= ymax:
+        return None
+    clipped = Rect(xmin, ymin, xmax, ymax)
+    sx = geom.n / w.width
+    sy = geom.m / w.height
+    x0 = int(math.floor((clipped.xmin - w.xmin) * sx))
+    y0 = int(math.floor((clipped.ymin - w.ymin) * sy))
+    x1 = int(math.ceil((clipped.xmax - w.xmin) * sx)) - 1
+    y1 = int(math.ceil((clipped.ymax - w.ymin) * sy)) - 1
+    x0, y0 = max(x0, 0), max(y0, 0)
+    x1 = min(max(x1, x0), geom.n - 1)
+    y1 = min(max(y1, y0), geom.m - 1)
+    return (x0, y0, x1, y1)
+
+
+WORLDS = (Rect(0.0, 0.0, 1.0, 1.0), Rect(-180.0, -90.0, 180.0, 90.0), Rect(0.1, 0.3, 0.7, 0.9))
+
+
+@st.composite
+def grid_and_rect(draw, outside=False):
+    world = draw(st.sampled_from(WORLDS))
+    n, m = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+
+    def coord(lo, hi, cells):
+        span = hi - lo
+        return draw(st.one_of(
+            st.integers(-2, cells + 2).map(lambda k: lo + k * span / cells),  # cell lines
+            st.sampled_from((lo, hi)),  # the world's edges
+            st.floats(lo - span / 2, hi + span / 2),
+        ))
+
+    xs = sorted((coord(world.xmin, world.xmax, n), coord(world.xmin, world.xmax, n)))
+    ys = sorted((coord(world.ymin, world.ymax, m), coord(world.ymin, world.ymax, m)))
+    # one float wide, where rounding can put the range's end before its start
+    if draw(st.booleans()):
+        xs[1] = math.nextafter(xs[0], math.inf)
+    if draw(st.booleans()):
+        ys[1] = math.nextafter(ys[0], math.inf)
+    if outside:
+        # push the rect wholly past one side, possibly touching it
+        side = draw(st.sampled_from(("left", "right", "down", "up")))
+        gap = draw(st.sampled_from((0.0, 0.5, 3.0)))
+        if side == "left":
+            xs = [world.xmin - gap - (xs[1] - xs[0]), world.xmin - gap]
+        elif side == "right":
+            xs = [world.xmax + gap, world.xmax + gap + (xs[1] - xs[0])]
+        elif side == "down":
+            ys = [world.ymin - gap - (ys[1] - ys[0]), world.ymin - gap]
+        else:
+            ys = [world.ymax + gap, world.ymax + gap + (ys[1] - ys[0])]
+    assume(xs[0] < xs[1] and ys[0] < ys[1])
+    return GridGeometry(n, m, world), Rect(xs[0], ys[0], xs[1], ys[1])
+
+
+class TestCellRangeBitIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_and_rect())
+    def test_matches_the_clipped_rect_formula(self, case):
+        geom, rect = case
+        want = reference_cell_range(geom, rect)
+        if want is None:
+            with pytest.raises(EmptyIntersectionError):
+                geom.cell_range(rect)
+        else:
+            got = geom.cell_range(rect)
+            assert got == want
+            assert all(type(v) is int for v in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_and_rect(outside=True))
+    def test_rect_outside_the_world_raises(self, case):
+        geom, rect = case
+        assert reference_cell_range(geom, rect) is None
+        with pytest.raises(EmptyIntersectionError):
+            geom.cell_range(rect)
+
+    def test_edge_and_boundary_cases(self):
+        g = GridGeometry(10, 10)
+        for rect in (
+            Rect(0.0, 0.0, 1.0, 1.0),  # the whole world
+            Rect(0.3, 0.3, 0.4, 0.4),  # exactly one cell's lines
+            Rect(-0.5, -0.5, 0.0001, 0.0001),  # crossing the low corner
+            Rect(0.9999, 0.9999, 3.0, 3.0),  # crossing the high corner
+            Rect(0.1, -2.0, 0.2, 5.0),  # spanning the world in y
+        ):
+            assert g.cell_range(rect) == reference_cell_range(g, rect)
+        for rect in (Rect(1.0, 0.0, 2.0, 1.0), Rect(0.0, -1.0, 1.0, 0.0)):
+            with pytest.raises(EmptyIntersectionError):
+                g.cell_range(rect)  # touches the world along an edge only
 
 
 class TestDominantCells:

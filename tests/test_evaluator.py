@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skystream.agrid import GridGeometry, SummaryConfig, summary_contribution
+from skystream.agrid import ANY_KEYWORD, GridGeometry, SummaryConfig, summary_contribution
 from skystream.evaluator import (
     CellBatch,
     EvaluatorState,
@@ -75,13 +75,12 @@ def check_aggregates(ev: EvaluatorState) -> None:
 def check_summary(ev: EvaluatorState) -> None:
     from collections import Counter
 
+    # one contribution per registered query, however many cells it holds
     want: Counter = Counter()
-    for cell in ev.cells.values():
-        for qid in cell.qids:
-            want.update(summary_contribution(ev.registry[qid], ev.summary_cfg))
+    for q in ev.registry.values():
+        want.update(summary_contribution(q, ev.summary_cfg))
     assert ev.summary_set() == frozenset(k for k, c in want.items() if c > 0)
-    got = {k: c for k, c in ev.summary_counts.items() if c}
-    assert got == {k: c for k, c in want.items() if c}
+    assert ev.summary_counts == dict(want)
 
 
 class TestRegistration:
@@ -102,16 +101,16 @@ class TestRegistration:
         ev.register_query(q)
         before = (ev.overall_q, dict(ev.attach_count), dict(ev.summary_counts))
         assert ev.register_query(q) == 0
-        assert ev.duplicate_registrations == 1
         assert (ev.overall_q, dict(ev.attach_count), dict(ev.summary_counts)) == before
+        check_aggregates(ev)
 
-    def test_disjoint_query_counts_contract_miss(self):
+    def test_disjoint_query_attaches_nothing(self):
         g = GridGeometry(8, 8)
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         q = make_query(g, 1, 6, 6, 7, 7)
         assert ev.register_query(q) == 0
-        assert ev.contract_misses == 1
-        assert not ev.registry
+        assert not ev.registry and not ev.cells
+        assert ev.overall_q == 0 and not ev.attach_count and not ev.summary_counts
 
     def test_inside_query_skips_inverted_lists(self):
         g = GridGeometry(4, 4)
@@ -121,6 +120,57 @@ class TestRegistration:
         cell = ev.cells[(1, 1)]
         assert cell.spatial_only == {7}
         assert not cell.inverted
+
+
+class TestSummaryCounts:
+    """Summary refcounts hold one contribution per registered query."""
+
+    def test_a_query_contributes_once_until_its_last_cell_leaves(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 3, 2, text=("tea", "mint")))  # 12 cells
+        ev.register_query(make_query(g, 2, 0, 0, 0, 0, text=("tea",)))
+        assert ev.attach_count[1] == 12
+        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        ev.extract_cells((0, 2, 3, 3))  # takes 4 of query 1's cells
+        assert ev.attach_count[1] == 8
+        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        check_summary(ev)
+        ev.extract_cells((1, 0, 3, 1))  # every cell of query 1 but (0, 0) and (0, 1)
+        ev.extract_cells((0, 1, 0, 1))
+        assert ev.attach_count == {1: 1, 2: 1}
+        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        ev.extract_cells((0, 0, 0, 0))  # the last cell
+        assert not ev.registry and ev.summary_counts == {}
+        assert ev.summary_set() == frozenset()
+
+    def test_eviction_takes_the_contribution_away_once(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 3, 3, text=("old",), expiry=5))
+        ev.register_query(make_query(g, 2, 1, 1, 2, 2, text=("old", "new"), expiry=50))
+        assert ev.summary_counts == {"old": 2, "new": 1}
+        # half a cycle evicts query 1 from half its cells: still registered
+        ev.cleaning_step(watermark=10, budget=8)
+        assert ev.attach_count[1] == 8
+        assert ev.summary_counts == {"old": 2, "new": 1}
+        assert ev.cleaning_step(watermark=10, budget=8) == frozenset({"old", "new"})
+        assert set(ev.registry) == {2}
+        assert ev.summary_counts == {"old": 1, "new": 1}
+        check_summary(ev)
+
+    def test_absorbed_query_counts_once_on_each_side(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 1, 3, 2, text=("span",)))
+        ev.register_query(make_query(g, 2, 0, 3, 0, 3, predicate=Predicate.INSIDE, text=()))
+        dest = EvaluatorState(1, g, None)
+        dest.absorb_cells(ev.extract_cells((0, 2, 3, 3)))
+        assert ev.summary_counts == {"span": 1}
+        assert dest.summary_counts == {"span": 1, ANY_KEYWORD: 1}
+        assert dest.attach_count == {1: 4, 2: 1}
+        check_summary(ev)
+        check_summary(dest)
 
 
 class TestProcessing:
@@ -412,6 +462,21 @@ class TestCleaning:
         while ev.cleaning_step(watermark=0, budget=4) is None:
             steps += 1
         assert steps == 3  # 16 cells at 4 per step, summary on the 4th
+
+    def test_a_migration_does_not_restart_the_cycle(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 3, 3))
+        assert ev.cleaning_step(watermark=0, budget=4) is None
+        assert ev.cleaning_step(watermark=0, budget=4) is None  # 8 of 16 cells
+        ev.extract_cells((0, 3, 3, 3))
+        # 12 cells are left and 8 were walked: one more step ends the cycle
+        assert ev.cleaning_step(watermark=0, budget=4) == frozenset({"coffee"})
+        # a cursor past the new end is clamped, and the next step ends the cycle
+        assert ev.cleaning_step(watermark=0, budget=4) is None
+        assert ev.cleaning_step(watermark=0, budget=4) is None
+        ev.extract_cells((0, 0, 3, 1))
+        assert ev.cleaning_step(watermark=0, budget=4) == frozenset({"coffee"})
 
     def test_expire_queries_now_boundary(self):
         g = GridGeometry(2, 2)

@@ -832,40 +832,56 @@ def pending_contributions(summaries, pid):
     return want
 
 
+def run_soak(clean_interval, after_drain=None, before=None):
+    """A seeded adaptive run whose hotspot walks the diagonal, so the
+    balancer keeps moving cells; `after_drain(s, phase)` runs after each of
+    its eight drains, and `before(s)` once the system is built."""
+    cfg = SystemConfig(
+        grid_n=16, grid_m=16, routers=2, evaluators=3, seed=11,
+        beta=0.02, stats_cadence=150, clean_interval=clean_interval, adaptive=True,
+    )
+    s = System(cfg)
+    if before is not None:
+        before(s)
+    rng = random.Random(11)
+    qid = oid = ts = 0
+    for phase in range(8):
+        cx = cy = 0.15 + 0.1 * phase
+        for _ in range(25):
+            qid += 1
+            r = rng.random()
+            pred = (Predicate.INSIDE if r < 0.1
+                    else Predicate.OVERLAPS if r < 0.6 else Predicate.CONTAINS)
+            kws = frozenset() if pred is Predicate.INSIDE else frozenset(
+                rng.sample(WORDS, rng.randint(1, 2)))
+            x0 = min(max(rng.gauss(cx, 0.05), 0.0), 0.95)
+            y0 = min(max(rng.gauss(cy, 0.05), 0.0), 0.95)
+            mbr = Rect(x0, y0, x0 + rng.uniform(0.01, 0.05), y0 + rng.uniform(0.01, 0.05))
+            s.ingest_query(ContinuousQuery(qid, mbr, kws, pred, ts + rng.randint(40, 250)))
+        for _ in range(150):
+            oid += 1
+            ts += 1  # distinct timestamps
+            x = min(max(rng.gauss(cx, 0.06), 0.0), 0.999)
+            y = min(max(rng.gauss(cy, 0.06), 0.0), 0.999)
+            kws = frozenset(rng.sample(OBJECT_WORDS, rng.randint(1, 3)))
+            s.ingest_object(SpatialKeywordObject(oid, Point(x, y), kws, ts))
+            for _ in range(rng.randint(0, 6)):
+                if not s.tick():
+                    break
+        s.drain()
+        if after_drain is not None:
+            after_drain(s, phase)
+    assert s.counters["forwarded_objects"] + s.counters["dropped_by_summary"] == oid
+    return s
+
+
+def pending_entries(unit, pid):
+    return sum(len(e) for e in unit.summaries.regs.get(pid, {}).values())
+
+
 class TestBoundedState:
     def test_soak_keeps_inflight_and_summary_counts_live(self):
-        cfg = SystemConfig(
-            grid_n=16, grid_m=16, routers=2, evaluators=3, seed=11,
-            beta=0.02, stats_cadence=150, clean_interval=4, adaptive=True,
-        )
-        s = System(cfg)
-        rng = random.Random(11)
-        qid = oid = ts = 0
-        for phase in range(8):
-            # the hotspot walks the diagonal, so the balancer keeps moving cells
-            cx = cy = 0.15 + 0.1 * phase
-            for _ in range(25):
-                qid += 1
-                r = rng.random()
-                pred = (Predicate.INSIDE if r < 0.1
-                        else Predicate.OVERLAPS if r < 0.6 else Predicate.CONTAINS)
-                kws = frozenset() if pred is Predicate.INSIDE else frozenset(
-                    rng.sample(WORDS, rng.randint(1, 2)))
-                x0 = min(max(rng.gauss(cx, 0.05), 0.0), 0.95)
-                y0 = min(max(rng.gauss(cy, 0.05), 0.0), 0.95)
-                mbr = Rect(x0, y0, x0 + rng.uniform(0.01, 0.05), y0 + rng.uniform(0.01, 0.05))
-                s.ingest_query(ContinuousQuery(qid, mbr, kws, pred, ts + rng.randint(40, 250)))
-            for _ in range(150):
-                oid += 1
-                ts += 1  # distinct timestamps
-                x = min(max(rng.gauss(cx, 0.06), 0.0), 0.999)
-                y = min(max(rng.gauss(cy, 0.06), 0.0), 0.999)
-                kws = frozenset(rng.sample(OBJECT_WORDS, rng.randint(1, 3)))
-                s.ingest_object(SpatialKeywordObject(oid, Point(x, y), kws, ts))
-                for _ in range(rng.randint(0, 6)):
-                    if not s.tick():
-                        break
-            s.drain()
+        def check(s, phase):
             assert s._inflight == {}, f"phase {phase}"
             assert not s._ingested
             for rname in s.router_names:
@@ -873,13 +889,41 @@ class TestBoundedState:
                 for pid in set(summaries.kw_count) | set(summaries.regs):
                     assert (summaries.kw_count.get(pid, {})
                             == pending_contributions(summaries, pid)), (phase, rname, pid)
+
+        s = run_soak(clean_interval=4, after_drain=check)
         assert s.counters["rebalance_count"] >= 3
-        assert s.counters["forwarded_objects"] + s.counters["dropped_by_summary"] == oid
         # refreshes did prune: far fewer entries are pending than were registered
         unit = s.workers["r0"].unit
-        pending = sum(len(e) for per in unit.summaries.regs.values() for e in per.values())
+        pending = sum(pending_entries(unit, pid) for pid in unit.summaries.regs)
         registered = sum(sum(s.workers[r].unit.reg_seq.values()) for r in s.router_names)
         assert pending < registered // 2
+
+    def test_cleaning_cycles_complete_across_frequent_migrations(self):
+        # cleaning is slow here, so partitions migrate more often than a
+        # cleaning cycle lasts; a cycle must still end and refresh
+        cycles: dict[str, int] = {}
+
+        def count_cycles(s):
+            for name in s.evaluator_names:
+                st = s.workers[name].state
+                step = st.cleaning_step
+
+                def counted(watermark, budget, step=step, name=name):
+                    kws = step(watermark, budget)
+                    cycles[name] = cycles.get(name, 0) + (kws is not None)
+                    return kws
+
+                st.cleaning_step = counted
+
+        s = run_soak(clean_interval=16, before=count_cycles)
+        assert s.counters["rebalance_count"] >= 3
+        assert sum(cycles.values()) >= 1, cycles
+        # each partition's refreshes pruned the routers' pending entries
+        for rname in s.router_names:
+            unit = s.workers[rname].unit
+            for pid in s.pm:
+                sent = sum(s.workers[r].unit.reg_seq.get(pid, 0) for r in s.router_names)
+                assert pending_entries(unit, pid) < sent // 2, (rname, pid)
 
 
 # ---------------------------------------------------------------------------
