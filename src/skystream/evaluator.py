@@ -4,8 +4,10 @@ An evaluator owns one rectangular region of the fine grid. Queries are
 attached to the inverted list of every owned cell their MBR overlaps, so a
 cell is a self-contained unit that can migrate to another evaluator during
 rebalancing. The cost and attachment aggregates are sums of per-cell
-quantities for exactly that reason: extract and absorb move cells and their
-share of every aggregate, and the books still balance on both sides.
+quantities for exactly that reason: extract and absorb move whole cell
+indexes and their share of every aggregate, once per cell, and the books
+still balance on both sides. A migrating cell's inverted lists travel as
+they are and are never rebuilt query by query.
 
 Summary keyword refcounts are counted per registered query instead: a query
 adds its contribution once when it enters the registry (its first attached
@@ -28,7 +30,7 @@ results never depend on cleaning progress.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .agrid import (
@@ -86,20 +88,37 @@ class CellIndex:
         When one list contributes, this is that list itself; a copy is made
         only to union a second one in.
         """
+        inverted = self.inverted
         found = self.spatial_only
+        if not inverted:
+            return found
         for kw in o_text:
-            hits = self.inverted.get(kw)
+            hits = inverted.get(kw)
             if hits:
                 found = found | hits if found else hits
         return found
 
+    def copy(self) -> CellIndex:
+        """A snapshot sharing no set with this cell."""
+        snap = CellIndex.__new__(CellIndex)
+        snap.cost = self.cost
+        snap.qids = self.qids.copy()
+        snap.spatial_only = self.spatial_only.copy()
+        snap.inverted = {kw: hits.copy() for kw, hits in self.inverted.items()}
+        return snap
+
 
 @dataclass
 class CellBatch:
-    """Wire form of a migrating region: per-cell content plus query records."""
+    """Wire form of a migrating region: whole cell indexes plus query records.
+
+    Each cell travels as its `CellIndex`, inverted lists included, and the
+    absorbing evaluator adopts it as it is: no list is rebuilt query by
+    query. `records` holds every query any of the cells index.
+    """
 
     region: CellRect
-    cells: list[tuple[tuple[int, int], int, list[int]]]  # (coord, cost, qids)
+    cells: list[tuple[tuple[int, int], CellIndex]]  # (coord, cell)
     records: dict[int, ContinuousQuery]
 
 
@@ -189,12 +208,6 @@ class EvaluatorState:
 
     def owned_cell_count(self) -> int:
         return rect_cells(self.bounds) if self.bounds else 0
-
-    def _cell(self, coord: tuple[int, int]) -> CellIndex:
-        cell = self.cells.get(coord)
-        if cell is None:
-            cell = self.cells[coord] = CellIndex()
-        return cell
 
     # -- registration ------------------------------------------------------
 
@@ -308,8 +321,9 @@ class EvaluatorState:
         """Match `o` against its cell; `coord` is its cell when the caller knows it."""
         if coord is None:
             coord = self.geom.cell_of(o.loc)
-        if not self.owns_cell(coord):
-            raise OutOfBoundsError(f"cell {coord} outside bounds {self.bounds}")
+        b = self.bounds
+        if b is None or not (b[0] <= coord[0] <= b[2] and b[1] <= coord[1] <= b[3]):
+            raise OutOfBoundsError(f"cell {coord} outside bounds {b}")
         cell = self.cells.get(coord)
         if cell is None:
             return []
@@ -448,12 +462,14 @@ class EvaluatorState:
                 run_q += q_agg[idx]
                 if not cost_agg[idx]:
                     continue
-                region = {
-                    "left": (x0, y0, idx, y1),
-                    "right": (idx, y0, x1, y1),
-                    "down": (x0, y0, x1, idx),
-                    "up": (x0, idx, x1, y1),
-                }[side]
+                if side == "left":
+                    region = (x0, y0, idx, y1)
+                elif side == "right":
+                    region = (idx, y0, x1, y1)
+                elif side == "down":
+                    region = (x0, y0, x1, idx)
+                else:
+                    region = (x0, idx, x1, y1)
                 out.append(ShiftCandidate(nid, region, run_cost, run_q))
         return tuple(out)
 
@@ -500,58 +516,69 @@ class EvaluatorState:
     # -- cell migration -----------------------------------------------------
 
     def extract_cells(self, region: CellRect) -> CellBatch:
-        """Remove a boundary strip (or everything) and return it as a batch."""
+        """Remove a boundary strip (or everything) and return its cells whole.
+
+        Each cell leaves with its index intact; its share of the aggregates
+        is taken away once per cell, and each query it indexes is retired
+        once for all the extracted cells that held it.
+        """
         remainder = strip_remainder(self.bounds, region)
-        cells: list[tuple[tuple[int, int], int, list[int]]] = []
-        records: dict[int, ContinuousQuery] = {}
+        cells = self.cells
+        moved: list[tuple[tuple[int, int], CellIndex]] = []
+        held: Counter = Counter()  # qid -> extracted cells indexing it
         for coord in iter_region(region):
-            cell = self.cells.pop(coord, None)
+            cell = cells.pop(coord, None)
             if cell is None:
                 continue
-            qids = sorted(cell.qids)
-            cells.append((coord, cell.cost, qids))
-            for qid in qids:
-                records[qid] = self.registry[qid]
-            self._forget_cell(coord, cell)
+            moved.append((coord, cell))
+            self._add_cell_sums(coord, -cell.cost, -len(cell.qids))
+            held.update(cell.qids)
+        registry = self.registry
+        records = {qid: registry[qid] for qid in held}
+        for qid, n in held.items():
+            self._retire(qid, n)
         self.bounds = remainder
         self._keep_cursor()
-        return CellBatch(region=region, cells=cells, records=records)
-
-    def _forget_cell(self, coord: tuple[int, int], cell: CellIndex) -> None:
-        if cell.cost:
-            self.col_cost[coord[0]] -= cell.cost
-            self.row_cost[coord[1]] -= cell.cost
-            self.overall_cost -= cell.cost
-        for qid in sorted(cell.qids):
-            self._detach(qid, cell, coord)
+        return CellBatch(region=region, cells=moved, records=records)
 
     def absorb_cells(self, batch: CellBatch) -> None:
-        """Merge a migrated region into this evaluator."""
+        """Merge a migrated region into this evaluator, adopting its cells whole.
+
+        A batch cell this evaluator already holds is a RegionMismatchError:
+        a region only ever moves to an evaluator that does not own it.
+        """
         region = batch.region
         if self.bounds is None:
             new_bounds = region
         else:
             new_bounds = union_rect(self.bounds, region)
-        records = batch.records
-        added: dict[int, int] = {}  # qid -> cells newly attached, in first-attach order
-        for coord, cost, qids in batch.cells:
+        cells = self.cells
+        added: Counter = Counter()  # qid -> batch cells indexing it
+        for coord, cell in batch.cells:
             if not rect_contains_cell(region, coord):
                 raise RegionMismatchError(f"cell {coord} outside batch region {region}")
-            cell = self._cell(coord)
-            if cost:
-                cell.cost += cost
-                self.col_cost[coord[0]] += cost
-                self.row_cost[coord[1]] += cost
-                self.overall_cost += cost
-            for qid in qids:
-                q = records[qid]
-                text = None if q.predicate is Predicate.INSIDE else q.text
-                if self._attach_cell(cell, coord, qid, text):
-                    added[qid] = added.get(qid, 0) + 1
+            if coord in cells:
+                raise RegionMismatchError(f"cell {coord} is already held here")
+            cells[coord] = cell
+            self._add_cell_sums(coord, cell.cost, len(cell.qids))
+            added.update(cell.qids)
+        records = batch.records
         for qid, n in added.items():
             self._admit(records[qid], n)
         self.bounds = new_bounds
         self._keep_cursor()
+
+    def _add_cell_sums(self, coord: tuple[int, int], cost: int, copies: int) -> None:
+        """Add one cell's cost and query copies to its row and column sums
+        (negative to take them away); overall cost follows, overall copies
+        are kept per query by `_admit` and `_retire`."""
+        if cost:
+            self.col_cost[coord[0]] += cost
+            self.row_cost[coord[1]] += cost
+            self.overall_cost += cost
+        if copies:
+            self.col_q[coord[0]] += copies
+            self.row_q[coord[1]] += copies
 
     def _keep_cursor(self) -> None:
         """Carry the cleaning cursor across a bounds change.

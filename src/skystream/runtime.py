@@ -11,12 +11,14 @@ matching exactly-once throughout.
 One transfer (src hands `region` to dst) runs like this:
 
   coordinator  premerges summaries at every router, then tells src to begin
-  src          streams one cell copy per message, marking each transmitted;
-               keeps evaluating objects over its whole area; queries that
-               overlap a transmitted cell are indexed locally and also
-               forwarded to dst
-  dst          stages cell copies and forwarded queries, absorbs them in one
-               step when the stream ends, then confirms
+  src          streams one cell snapshot per message, marking each
+               transmitted, and sends each query record once per transfer,
+               with the first snapshot that indexes it; keeps evaluating
+               objects over its whole area; queries that overlap a
+               transmitted cell are indexed locally and also forwarded to dst
+  dst          stages the snapshots and forwarded queries, adopts the
+               snapshots as its cells in one absorb step when the stream
+               ends, then confirms
   coordinator  orders src to extract (src drops the region and installs a
                permanent forwarding entry), broadcasts the new partitions
                map, collects router acks, then has dst flush its first
@@ -60,6 +62,7 @@ from .evaluator import (
     CellBatch,
     CellIndex,
     EvaluatorState,
+    OutOfBoundsError,
     iter_region,
     strip_remainder,
     union_rect,
@@ -124,6 +127,7 @@ class TransientState:
     region: CellRect
     pending: deque
     transmitted: set = field(default_factory=set)
+    sent_records: set = field(default_factory=set)  # qids whose record dst holds
     extracted: bool = False
 
 
@@ -134,7 +138,7 @@ class StagingState:
     op_id: int
     tid: int
     region: CellRect
-    cells: list = field(default_factory=list)  # (coord, cost, qids)
+    cells: list = field(default_factory=list)  # (coord, CellIndex snapshot)
     records: dict = field(default_factory=dict)
     queries: list = field(default_factory=list)
 
@@ -514,8 +518,9 @@ class EvaluatorWorker:
         if msg.kind is MsgKind.DATA_OBJECT:
             # each object counts as one delivery, so cleaning runs between
             # the same objects whatever the batching
+            handle_object = self.handle_object
             for o, cell in p["objs"]:
-                self.handle_object(o, cell)
+                handle_object(o, cell)
                 self.count_delivery()
             return
         if msg.kind is MsgKind.QUERY:
@@ -544,25 +549,31 @@ class EvaluatorWorker:
         """Match `o`, or forward it if its cell `coord` has left this evaluator."""
         sys = self.sys
         st = self.state
-        if not st.owns_cell(coord):
-            # newest entry wins: it names the worker this cell left for last,
-            # so every hop advances in migration history and chains terminate
-            for region, peer in reversed(self.forward_table):
-                if rect_contains_cell(region, coord):
-                    sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
-                             inner="object", obj=o, cell=coord)
-                    return
-            raise ProtocolViolation(
-                f"{self.name} got object at cell {coord} outside {st.bounds} "
-                "with no forwarding entry")
         before = st.overall_cost
-        out = st.process_object(o, coord)
+        try:
+            out = st.process_object(o, coord)
+        except OutOfBoundsError:
+            self.forward_object(o, coord)
+            return
         delta = st.overall_cost - before
         self.window_cost += delta
         sys.counters["candidates"] += self.candidate_charge(delta)
         if out:
             sys.emit(out)
         sys.retire(o.ts)
+
+    def forward_object(self, o: SpatialKeywordObject, coord: tuple[int, int]) -> None:
+        """Send `o` after its cell, which has left this evaluator."""
+        # newest entry wins: it names the worker this cell left for last,
+        # so every hop advances in migration history and chains terminate
+        for region, peer in reversed(self.forward_table):
+            if rect_contains_cell(region, coord):
+                self.sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
+                              inner="object", obj=o, cell=coord)
+                return
+        raise ProtocolViolation(
+            f"{self.name} got object at cell {coord} outside {self.state.bounds} "
+            "with no forwarding entry")
 
     def candidate_charge(self, cost_delta: int) -> int:
         """Candidates one object counts: the queries its cell lists pulled."""
@@ -678,7 +689,7 @@ class EvaluatorWorker:
             tr = self.transient
             if tr is None or tr.op_id != p["op_id"]:
                 raise ProtocolViolation(f"{self.name} has no transfer {p['op_id']}")
-            self.state.extract_cells(tr.region)  # dst already holds the copies
+            self.state.extract_cells(tr.region)  # dst already holds the snapshots
             self.forward_table.append((tr.region, tr.peer))
             tr.extracted = True
             sys.send(self.name, sys.coordinator, MsgKind.REBALANCE_COMMAND,
@@ -711,11 +722,13 @@ class EvaluatorWorker:
         tr.transmitted.add(coord)
         cell = self.state.cells.get(coord)
         if cell is not None and (cell.cost or cell.qids):
-            qids = sorted(cell.qids)
+            # the channel is FIFO, so dst holds every record sent before
+            new = cell.qids - tr.sent_records
+            tr.sent_records |= new
+            registry = self.state.registry
             sys.send(self.name, tr.peer, MsgKind.CELL_BATCH,
-                     op_id=op_id, tid=tr.tid, coord=coord, cost=cell.cost,
-                     qids=qids,
-                     records={qid: self.state.registry[qid] for qid in qids})
+                     op_id=op_id, tid=tr.tid, coord=coord, cell=cell.copy(),
+                     records={qid: registry[qid] for qid in new})
         if tr.pending:
             sys.send(self.name, self.name, MsgKind.REBALANCE_COMMAND,
                      verb="stream_next", op_id=op_id)
@@ -729,7 +742,7 @@ class EvaluatorWorker:
             raise ProtocolViolation(f"{self.name} got a stray cell batch")
         if not rect_contains_cell(stg.region, p["coord"]):
             raise ProtocolViolation(f"cell {p['coord']} outside {stg.region}")
-        stg.cells.append((p["coord"], p["cost"], p["qids"]))
+        stg.cells.append((p["coord"], p["cell"]))
         stg.records.update(p["records"])
 
     def finish_staging(self) -> None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skystream.agrid import ANY_KEYWORD, GridGeometry, SummaryConfig, summary_contribution
 from skystream.evaluator import (
     CellBatch,
+    CellIndex,
     EvaluatorState,
     OutOfBoundsError,
     RegionMismatchError,
@@ -587,6 +588,34 @@ class TestMigration:
         with pytest.raises(RegionMismatchError):
             dest.absorb_cells(bad)
 
+    def test_copy_shares_no_set(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 1, 1, 1, 1, text=("tea", "mint"), expiry=5))
+        ev.register_query(make_query(g, 2, 1, 1, 1, 1, predicate=Predicate.INSIDE, text=()))
+        ev.process_object(make_object(g, 1, 1, 1, text=("tea",)))
+        cell = ev.cells[(1, 1)]
+        snap = cell.copy()
+        want = (2, {1, 2}, {2}, {"tea": {1}, "mint": {1}})
+        assert (snap.cost, snap.qids, snap.spatial_only, snap.inverted) == want
+        # every way the evaluator changes a cell: register, match, evict
+        ev.register_query(make_query(g, 3, 1, 1, 1, 1, text=("tea", "jam")))
+        ev.register_query(make_query(g, 4, 1, 1, 1, 1, predicate=Predicate.INSIDE, text=()))
+        ev.process_object(make_object(g, 2, 1, 1, text=("tea",), ts=1))
+        ev.expire_queries(now=5)
+        assert cell.qids == {2, 3, 4} and cell.inverted == {"tea": {3}, "jam": {3}}
+        assert (snap.cost, snap.qids, snap.spatial_only, snap.inverted) == want
+
+    def test_absorbing_a_held_cell_is_rejected(self):
+        g = GridGeometry(4, 4)
+        src = EvaluatorState(0, g, (0, 0, 3, 1))
+        dst = EvaluatorState(1, g, (0, 2, 3, 3))
+        src.register_query(make_query(g, 1, 0, 0, 3, 1, text=("w",)))
+        batch = src.extract_cells((0, 1, 3, 1))
+        dst.cells[(2, 1)] = CellIndex()  # a stale cell outside dst's bounds
+        with pytest.raises(RegionMismatchError):
+            dst.absorb_cells(batch)
+
     def test_absorb_is_registration_duplicate_safe(self):
         # a query may reach the destination both by forwarding and inside
         # the batch; the second arrival must not double-count
@@ -670,6 +699,82 @@ def test_random_operations_keep_books_balanced(data):
         assert all(ev._expiry_floor <= q.expiry for q in ev.registry.values())
     check_aggregates(ev)
     check_summary(ev)
+
+
+def check_absorbed_cells(dest: EvaluatorState, batch) -> None:
+    """Each adopted cell indexes what registering its records over it builds."""
+    for coord, _ in batch.cells:
+        cell = dest.cells[coord]
+        fresh = EvaluatorState(99, dest.geom, coord + coord)
+        for qid in cell.qids:
+            fresh.register_query(batch.records[qid])
+        built = fresh.cells.get(coord, CellIndex())
+        assert cell.qids == built.qids, coord
+        assert cell.spatial_only == built.spatial_only, coord
+        assert cell.inverted == built.inverted, coord
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_migrations_adopt_cells_whole(data):
+    """Two evaluators split a 6x6 grid at a moving column cut and hand
+    strips back and forth while queries arrive, objects match and cleaning
+    evicts; each side's matches equal an evaluator that never migrates."""
+    g = GridGeometry(6, 6)
+    cut = data.draw(st.integers(0, 4))  # left owns columns 0..cut
+    left = EvaluatorState(0, g, (0, 0, cut, 5))
+    right = EvaluatorState(1, g, (cut + 1, 0, 5, 5))
+    reference = EvaluatorState(9, g, (0, 0, 5, 5))
+    vocab = ["p", "q", "r"]
+    qid = ts = 0
+    for _ in range(data.draw(st.integers(10, 40))):
+        op = data.draw(st.sampled_from(["reg", "obj", "obj", "clean", "move"]))
+        ts += 1
+        if op == "reg":
+            x0 = data.draw(st.integers(0, 5))
+            y0 = data.draw(st.integers(0, 5))
+            x1 = data.draw(st.integers(x0, 5))
+            y1 = data.draw(st.integers(y0, 5))
+            pred = data.draw(st.sampled_from(list(Predicate)))
+            words = () if pred is Predicate.INSIDE else data.draw(
+                st.sets(st.sampled_from(vocab), min_size=1, max_size=2))
+            q = make_query(g, qid, x0, y0, x1, y1, text=words, predicate=pred,
+                           expiry=ts + data.draw(st.integers(0, 20)))
+            for ev in (left, right, reference):
+                ev.register_query(q)
+            qid += 1
+        elif op == "obj":
+            i = data.draw(st.integers(0, 5))
+            j = data.draw(st.integers(0, 5))
+            words = data.draw(st.sets(st.sampled_from(vocab), min_size=1, max_size=2))
+            o = make_object(g, ts, i, j, text=words, ts=ts)
+            owner = left if i <= cut else right
+            assert owner.process_object(o) == reference.process_object(o)
+        elif op == "clean":
+            side = data.draw(st.sampled_from([left, right]))
+            if side.bounds is not None:
+                side.cleaning_step(ts, budget=data.draw(st.integers(1, 12)))
+        else:
+            to_right = data.draw(st.booleans())
+            donor_width = cut + 1 if to_right else 5 - cut
+            if not donor_width:
+                continue
+            k = data.draw(st.integers(1, donor_width))
+            if to_right:
+                src, dest, region = left, right, (cut - k + 1, 0, cut, 5)
+                cut -= k
+            else:
+                src, dest, region = right, left, (cut + 1, 0, cut + k, 5)
+                cut += k
+            batch = src.extract_cells(region)
+            dest.absorb_cells(batch)
+            check_absorbed_cells(dest, batch)
+            for ev in (left, right):
+                check_aggregates(ev)
+                check_summary(ev)
+    for ev in (left, right):
+        check_aggregates(ev)
+        check_summary(ev)
 
 
 def test_iter_region_is_row_major():

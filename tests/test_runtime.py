@@ -10,8 +10,9 @@ time, rebalances and summary refreshes included.
 
 from __future__ import annotations
 
+import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -924,6 +925,202 @@ class TestBoundedState:
             for pid in s.pm:
                 sent = sum(s.workers[r].unit.reg_seq.get(pid, 0) for r in s.router_names)
                 assert pending_entries(unit, pid) < sent // 2, (rname, pid)
+
+
+# ---------------------------------------------------------------------------
+# cell snapshots and query records during a transfer
+
+
+def count_sends(s, on_send=None):
+    """Count every message `s` sends, by kind; `on_send` sees each one first."""
+    sent: Counter = Counter()
+    send = s.send
+
+    def counted(sender, receiver, kind, **payload):
+        sent[kind.value] += 1
+        if on_send is not None:
+            on_send(sender, receiver, kind, payload)
+        send(sender, receiver, kind, **payload)
+
+    s.send = counted
+    return sent
+
+
+def run_drifting(on_send=None, before=None):
+    """A seeded 32x32 adaptive run: all three predicates, and a hotspot
+    that moves across the grid in six phases, so the balancer shifts and
+    splits partitions while objects and queries keep flowing. Each phase's
+    queries settle before its objects arrive. Returns the system, its
+    per-kind send counts, and the oracle's matches in that order."""
+    cfg = SystemConfig(
+        grid_n=32, grid_m=32, routers=2, evaluators=4, seed=17,
+        beta=0.02, stats_cadence=300, clean_interval=16, adaptive=True,
+    )
+    s = System(cfg)
+    sent = count_sends(s, on_send)
+    if before is not None:
+        before(s)
+    rng = random.Random(17)
+    oracle = SingleIndexOracle()
+    expected = []
+    qid = oid = ts = 0
+    for phase in range(6):
+        cx = 0.2 + 0.12 * phase
+        cy = 0.8 - 0.12 * phase
+        for _ in range(60):
+            qid += 1
+            r = rng.random()
+            pred = (Predicate.INSIDE if r < 0.3
+                    else Predicate.OVERLAPS if r < 0.7 else Predicate.CONTAINS)
+            kws = frozenset() if pred is Predicate.INSIDE else frozenset(
+                rng.sample(WORDS, rng.randint(1, 2)))
+            x0 = min(max(rng.gauss(cx, 0.1), 0.0), 0.94)
+            y0 = min(max(rng.gauss(cy, 0.1), 0.0), 0.94)
+            mbr = Rect(x0, y0, x0 + rng.uniform(0.01, 0.06), y0 + rng.uniform(0.01, 0.06))
+            q = ContinuousQuery(qid, mbr, kws, pred, ts + rng.randint(100, 900))
+            oracle.register(q)
+            s.ingest_query(q)
+        s.drain()  # registrations settle before the phase's objects
+        for _ in range(400):
+            oid += 1
+            ts += 1
+            x = min(max(rng.gauss(cx, 0.07), 0.0), 0.999)
+            y = min(max(rng.gauss(cy, 0.07), 0.0), 0.999)
+            kws = frozenset(rng.sample(OBJECT_WORDS, rng.randint(1, 3)))
+            o = SpatialKeywordObject(oid, Point(x, y), kws, ts)
+            expected.extend(oracle.process(o))
+            s.ingest_object(o)
+            for _ in range(rng.randint(0, 6)):
+                if not s.tick():
+                    break
+        s.drain()
+    return s, sent, sorted(expected)
+
+
+class TestAdaptiveRunDigest:
+    """Pins the adaptive path's message sequence and results.
+
+    The figures are what the seeded run produced before cell snapshots
+    replaced per-query re-registration; a change that keeps what the
+    adaptive path computes and sends keeps every one of them.
+    """
+
+    def test_counts_decisions_alphas_and_results_are_pinned(self):
+        s, sent, expected = run_drifting()
+        assert s.delivered_total == 7884
+        assert dict(sent) == {
+            "CellBatch": 384, "DataObject": 4476, "ForwardedTuple": 17,
+            "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
+            "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
+        }
+        assert [(d["tick"], d["opKind"], d["pids"], d["Cr"], d["Ct"], d["alphaBefore"])
+                for d in s.decisions] == [
+            (310, "shift_v", "2/0", 36, 2.06, 4.0),
+            (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
+            (1830, "shift_v", "0/2", 57, 0.52, 1.0),
+            (2112, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
+            (2414, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
+            (3311, "split_merge", "0/1/2/4", 121, 3.86, 3.2452830188679247),
+            (4226, "shift_v", "0/1", 161, 0.7000000000000001, 3.1964285714285716),
+            (7216, "split_merge", "3/4/2/1", 242, 4.58, 4.0),
+        ]
+        assert [row["alpha"] for row in s.metrics] == [
+            4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
+            3.967479674796748, 3.4455445544554455, 3.0689655172413794,
+            2.9714285714285715, 3.2452830188679247, 3.391304347826087,
+            3.6744186046511627, 3.1964285714285716, 2.3703703703703702,
+            2.909090909090909, 2.3646408839779007, 2.419753086419753,
+            3.965217391304348, 4.0, 3.9611650485436893, 4.0, 4.0, 4.0, 4.0, 1.0,
+        ]
+        assert dict(s.counters) == {
+            "candidates": 3542, "dropped_by_summary": 1,
+            "forwarded_objects": 2399, "rebalance_count": 8,
+        }
+        lines = sorted(format_match(m) for m in s.results)
+        assert len(lines) == 842
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "85b9cc9e6364a6f732672d8a6d8e89d09364ee7c64a4692f3e5a07697c6e1be7"
+        assert sorted_results(s) == expected
+
+
+class TestRecordsTravelOnce:
+    def test_each_record_crosses_once_and_arrives_before_cells_done(self):
+        seen: dict[tuple, set] = {}  # (op_id, tid) -> qids whose record was sent
+        snapshots = 0
+
+        def on_send(sender, receiver, kind, payload):
+            nonlocal snapshots
+            if kind is not MsgKind.CELL_BATCH:
+                return
+            snapshots += 1
+            sent = seen.setdefault((payload["op_id"], payload["tid"]), set())
+            again = sent & set(payload["records"])
+            assert not again, f"records {again} sent twice in one transfer"
+            sent |= set(payload["records"])
+
+        staged = 0
+
+        def check_staging(s):
+            for name in s.evaluator_names:
+                w = s.workers[name]
+                finish = w.finish_staging
+
+                def checked(w=w, finish=finish):
+                    nonlocal staged
+                    stg = w.staging
+                    for coord, cell in stg.cells:
+                        missing = cell.qids - set(stg.records)
+                        assert not missing, f"{w.name} has no record for {missing} at {coord}"
+                    staged += 1
+                    finish()
+
+                w.finish_staging = checked
+
+        s, _, expected = run_drifting(on_send, before=check_staging)
+        assert s.counters["rebalance_count"] >= 3
+        assert staged >= 3 and snapshots > 0
+        assert sorted_results(s) == expected
+
+    def test_queries_registering_on_transmitted_cells_match_at_dst(self):
+        s = shift_fixture()
+        q1 = s.workers["e0"].state.registry[1]
+        records: list[set] = []
+        count_sends(s, lambda sender, receiver, kind, payload: records.append(
+            set(payload["records"])) if kind is MsgKind.CELL_BATCH else None)
+        s.trigger_stats()
+        e0, e1 = s.workers["e0"], s.workers["e1"]
+        drain_until(s, lambda: e0.transient is not None and len(e0.transient.transmitted) >= 2)
+        assert {(3, 0), (3, 1)} <= e0.transient.transmitted
+        assert 1 in e0.transient.sent_records  # q1 travelled with (3, 0)
+
+        # q2 registers on two transmitted cells, which a forward covers, and
+        # on six that have not streamed yet, whose snapshots carry its record
+        s.ingest_query(mk_q(2, (3, 0, 3, 7), ["beta"]))
+        for r in s.router_names:
+            s.step_channel("in", r)
+        for r in s.router_names:
+            s.step_channel(r, "e0")
+        assert 2 in e0.state.registry
+        # q1 arrives at the source again after its record was sent: it is
+        # forwarded for the transmitted cells, and no second record crosses
+        s.send("r1", "e0", MsgKind.QUERY, query=q1, origin=None, seq=0)
+        s.step_channel("r1", "e0")
+        fwd = [m.payload["query"].qid for m in s.channels[("e0", "e1")]
+               if m.kind is MsgKind.FORWARDED_TUPLE]
+        assert fwd == [2, 1]
+        s.drain()
+
+        assert s.counters["rebalance_count"] == 1
+        assert [sorted(r) for r in records if r] == [[1], [2]]
+        assert set(e1.state.registry) == {1, 2}
+        assert all(e1.state.cells[(3, j)].qids == {1, 2} for j in range(8))
+        n0 = len(s.results)
+        s.ingest_object(mk_o(920, (3, 0), ["beta"], 400))   # q2 by forward
+        s.ingest_object(mk_o(921, (3, 6), ["beta"], 401))   # q2 by snapshot
+        s.ingest_object(mk_o(922, (3, 1), ["alpha"], 402))  # q1 by snapshot
+        s.drain()
+        assert sorted(map(tuple, s.results[n0:])) == [
+            (1, 922, 402), (2, 920, 400), (2, 921, 401)]
 
 
 # ---------------------------------------------------------------------------
