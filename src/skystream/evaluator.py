@@ -569,9 +569,8 @@ class EvaluatorState:
         self._keep_cursor()
 
     def _add_cell_sums(self, coord: tuple[int, int], cost: int, copies: int) -> None:
-        """Add one cell's cost and query copies to its row and column sums
-        (negative to take them away); overall cost follows, overall copies
-        are kept per query by `_admit` and `_retire`."""
+        """Add one cell's cost and query copies to the aggregates, negative to
+        take them away; `overall_q` is kept per query by `_admit` and `_retire`."""
         if cost:
             self.col_cost[coord[0]] += cost
             self.row_cost[coord[1]] += cost
