@@ -497,7 +497,6 @@ class RoutingDecision:
     """Outcome of registering one query at a routing unit."""
 
     targets: list[int]
-    contribution: frozenset[str]
     entries: list[tuple[int, int, frozenset[str]]]  # (pid, seq, contribution)
 
 
@@ -537,7 +536,7 @@ class RoutingUnit:
             reg_seq[pid] = seq + 1
             add_entry(pid, origin, seq, contribution)
             entries.append((pid, seq, contribution))
-        return RoutingDecision(targets, contribution, entries)
+        return RoutingDecision(targets, entries)
 
     def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str]) -> None:
         self.summaries.add_entry(pid, origin, seq, kws)

@@ -18,6 +18,7 @@ when C_r > C_t, and among worthwhile candidates the largest C_r wins.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +34,7 @@ __all__ = [
     "RebalanceOp",
     "cost_reduction_split_merge",
     "transfer_overhead_split_merge",
+    "check_beta",
     "select_rebalance_op",
     "best_gridline_split",
     "initial_partitioning",
@@ -151,6 +153,13 @@ def enumerate_candidates(snapshot: WorkloadSnapshot, beta: float, spare: int | N
     return out
 
 
+def check_beta(beta: float) -> None:
+    """C_t must be a cost: a negative beta pays ops to move data, even ops
+    that raise the maximum, and nan makes C_r > C_t fail for every op."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+
+
 def select_rebalance_op(
     snapshot: WorkloadSnapshot, beta: float, spare: int | None = None
 ) -> RebalanceOp | None:
@@ -159,6 +168,7 @@ def select_rebalance_op(
     Deterministic in the snapshot, so every routing replica would pick the
     same operation; only replica 0 actually decides.
     """
+    check_beta(beta)
     viable = [op for op in enumerate_candidates(snapshot, beta, spare) if op.cr > op.ct]
     if not viable:
         return None

@@ -2,9 +2,10 @@
 
 Three subcommands:
 
-  run     drive one simulated deployment over a generated workload or a
-          trace file, writing metrics.csv, decisions.csv, results.txt and
-          (for grid-backed modes) partitioning.json into --out
+  run     drive one simulated deployment (runtime.System, in any mode of
+          runtime.WORKERS) over a generated workload or a trace file,
+          writing metrics.csv, decisions.csv, results.txt and (for
+          grid-backed modes) partitioning.json into --out
   bench   count routing operations for point and range lookups across
           partition counts, comparing the adaptive grid against a uniform
           grid scan and a reference hierarchical index
@@ -21,10 +22,10 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ import numpy as np
 from .agrid import (
     AGrid,
     CellRect,
-    EmptyIntersectionError,
     GridGeometry,
     OutOfWorldError,
     dump_partitioning,
@@ -46,7 +46,6 @@ from .balancer import (
     initial_partitioning,
     routing_load,
 )
-from .evaluator import EvaluatorState
 from .model import ContinuousQuery, Point, Predicate, SpatialKeywordObject
 from .runtime import System, SystemConfig, format_match, parse_trace_line
 from .workload import (
@@ -252,12 +251,19 @@ def _initial_pm(events: list, n: int, m: int, evaluators: int,
 def cmd_run(args: argparse.Namespace) -> int:
     n, m = _parse_grid(args.grid)
     mode = MODES[args.mode]
-    if args.adaptive and mode != "agrid":
-        raise ValueError("--adaptive requires --mode agrid")
     if bool(args.workload) == bool(args.trace):
         raise ValueError("give exactly one of --workload or --trace")
-    if args.sf <= 0:
-        raise ValueError(f"--sf must be positive, got {args.sf}")
+    if not (math.isfinite(args.sf) and args.sf > 0):
+        raise ValueError(f"--sf must be positive and finite, got {args.sf}")
+
+    cfg = SystemConfig(
+        grid_n=n, grid_m=m,
+        routers=args.routers, evaluators=args.evaluators,
+        beta=args.beta, seed=args.seed,
+        stats_cadence=args.stats_cadence, adaptive=args.adaptive,
+        mode=mode, clean_interval=args.clean_interval,
+        retain_results=False,
+    )
 
     if args.trace:
         events = load_trace(args.trace)
@@ -272,21 +278,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     log.info("run: %d objects, %d queries, mode=%s grid=%dx%d",
              n_objects, n_queries, mode, n, m)
 
-    cfg = SystemConfig(
-        grid_n=n, grid_m=m,
-        routers=args.routers, evaluators=args.evaluators,
-        beta=args.beta, seed=args.seed,
-        stats_cadence=args.stats_cadence, adaptive=args.adaptive,
-        mode=mode, clean_interval=args.clean_interval,
-        retain_results=False,
-    )
     pm = _initial_pm(events, n, m, args.evaluators) if mode == "agrid" else None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.parallel:
-        return _run_parallel(args, cfg, pm, events, out, n_objects, n_queries)
 
     matches = 0
     with open(out / "results.txt", "w") as rfh:
@@ -324,24 +319,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         (out / "partitioning.json").write_text(dump_partitioning(grid))
         wrote.append(out / "partitioning.json")
 
-    _print_run_summary(args.mode, n_objects, n_queries, matches, s.counters,
-                       s.delivered_total, s.metrics, wrote)
-    return 0
-
-
-def _print_run_summary(mode: str, n_objects: int, n_queries: int, matches: int,
-                       counters: Counter, delivered: int, metrics: list,
-                       wrote: list) -> None:
-    print(f"mode={mode} objects={n_objects} queries={n_queries} matches={matches}")
-    line = (f"delivered={delivered}"
-            f" candidates={counters['candidates']}"
-            f" forwarded={counters['forwarded_objects']}"
-            f" dropped={counters['dropped_by_summary']}"
-            f" rebalances={counters['rebalance_count']}")
-    if metrics:
-        line += f" alpha={metrics[-1]['alpha']:.3f}"
+    print(f"mode={args.mode} objects={n_objects} queries={n_queries} matches={matches}")
+    c = s.counters
+    line = (f"delivered={s.delivered_total}"
+            f" candidates={c['candidates']}"
+            f" forwarded={c['forwarded_objects']}"
+            f" dropped={c['dropped_by_summary']}"
+            f" rebalances={c['rebalance_count']}")
+    if s.metrics:
+        line += f" alpha={s.metrics[-1]['alpha']:.3f}"
     print(line)
     print("wrote: " + " ".join(str(p) for p in wrote))
+    return 0
 
 
 def _write_csv(path: Path, fields: tuple, rows: list[dict]) -> None:
@@ -349,61 +338,6 @@ def _write_csv(path: Path, fields: tuple, rows: list[dict]) -> None:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
         w.writerows(rows)
-
-
-# -- run --parallel -------------------------------------------------------------------
-
-
-def _run_parallel(args: argparse.Namespace, cfg: SystemConfig,
-                  pm: dict[int, CellRect] | None, events: list, out: Path,
-                  n_objects: int, n_queries: int) -> int:
-    """Static single-thread executor: events go straight from the grid to
-    the evaluator states, with no runtime, summaries or rebalancing.
-
-    Results are written sorted; metrics and decision logs stay empty.
-    """
-    if cfg.mode not in ("agrid", "uniform"):
-        raise ValueError("--parallel supports agrid and uniform modes only")
-    if cfg.adaptive:
-        raise ValueError("--parallel runs a static partitioning; drop --adaptive")
-
-    n, m = cfg.grid_n, cfg.grid_m
-    if pm is None:
-        pm = uniform_partitioning(n, m, cfg.evaluators)
-    grid = AGrid(n, m, pm)
-    states = {pid: EvaluatorState(pid, grid.geom, rect, cfg.summary)
-              for pid, rect in pm.items()}
-    counters: Counter = Counter()
-    out_lines: list[str] = []
-    for tag, item in events:
-        if tag == "Q":
-            try:
-                targets = grid.neighbor_search(item.mbr)
-            except EmptyIntersectionError:
-                counters["out_of_world"] += 1
-                continue
-            for pid in targets:
-                states[pid].register_query(item)
-        else:
-            try:
-                pid = grid.route_point(item.loc)
-            except OutOfWorldError:
-                counters["out_of_world"] += 1
-                continue
-            counters["forwarded_objects"] += 1
-            out_lines.extend(format_match(mr) for mr in states[pid].process_object(item))
-    counters["candidates"] = sum(st.overall_cost for st in states.values())
-
-    out_lines.sort()
-    (out / "results.txt").write_text("".join(line + "\n" for line in out_lines))
-    _write_csv(out / "metrics.csv", METRICS_FIELDS, [])
-    _write_csv(out / "decisions.csv", DECISIONS_FIELDS, [])
-    (out / "partitioning.json").write_text(dump_partitioning(grid))
-    wrote = [out / "metrics.csv", out / "decisions.csv", out / "results.txt",
-             out / "partitioning.json"]
-    _print_run_summary(args.mode, n_objects, n_queries, len(out_lines),
-                       counters, 0, [], wrote)
-    return 0
 
 
 # -- bench --------------------------------------------------------------------------
@@ -587,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--clean-interval", type=int, default=64,
                        dest="clean_interval", metavar="N",
                        help="evaluator deliveries between lazy-cleaning steps")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="single-thread static executor without the "
-                            "runtime (agrid/uniform, no adaptivity)")
     run_p.set_defaults(func=cmd_run)
 
     bench_p = sub.add_parser("bench", help="routing op-count microbenchmark")

@@ -368,18 +368,6 @@ class EvaluatorState:
             if not cell.qids and not cell.cost:
                 del cells[coord]
 
-    def expire_queries(self, now: int) -> int:
-        """Sweep every owned cell, dropping queries with expiry <= now.
-
-        Returns the number of distinct queries removed. Equivalent to a full
-        cleaning cycle with watermark now + 1 ("time now is over").
-        """
-        if self.bounds is None:
-            return 0
-        before = len(self.registry)
-        self._evict_span(0, self.owned_cell_count(), now + 1)
-        return before - len(self.registry)
-
     def cleaning_step(self, watermark: int, budget: int) -> frozenset[str] | None:
         """Advance the cleaning cursor by `budget` cells.
 

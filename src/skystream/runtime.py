@@ -51,13 +51,12 @@ from .agrid import (
     OutOfWorldError,
     RoutingUnit,
     SummaryConfig,
-    WORLD_UNIT,
     rect_contains_cell,
     rect_intersect,
     summary_contribution,
     uniform_partitioning,
 )
-from .balancer import OpKind, RebalanceOp, WorkloadSnapshot, select_rebalance_op
+from .balancer import OpKind, RebalanceOp, WorkloadSnapshot, check_beta, select_rebalance_op
 from .evaluator import (
     CellBatch,
     CellIndex,
@@ -200,13 +199,13 @@ class SystemConfig:
     policy: str = "round_robin"
     stats_cadence: int = 10_000
     adaptive: bool = False
-    mode: str = "agrid"  # agrid | uniform | textual | broadcast
+    mode: str = "agrid"  # a key of WORKERS
     summary: SummaryConfig = field(default_factory=SummaryConfig)
     clean_interval: int = 64  # evaluator deliveries between cleaning steps
     retain_results: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ("agrid", "uniform", "textual", "broadcast"):
+        if self.mode not in WORKERS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adaptive and self.mode != "agrid":
             raise ValueError("adaptive rebalancing requires the agrid mode")
@@ -214,6 +213,7 @@ class SystemConfig:
             raise ValueError("need at least one router and one evaluator")
         if self.stats_cadence < 1 or self.clean_interval < 1:
             raise ValueError("cadences must be positive")
+        check_beta(self.beta)
 
 
 # -- router ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ class EvaluatorWorker:
         self.index = index
         self.sys = system
         cfg = system.cfg
-        geom = GridGeometry(cfg.grid_n, cfg.grid_m, system.world)
+        geom = GridGeometry(cfg.grid_n, cfg.grid_m)
         self.state = EvaluatorState(index, geom, system.pm.get(index), cfg.summary)
         self.reg_seen: dict[tuple, int] = {}
         self.own_seq = 0
@@ -793,7 +793,7 @@ class BroadcastRouter(RouterWorker):
     def __init__(self, name: str, index: int, system: "System"):
         super().__init__(name, index, system)
         cfg = system.cfg
-        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m, system.world)
+        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m)
 
     def object_targets(self, o: SpatialKeywordObject
                        ) -> tuple[tuple[int, int] | None, list[str]]:
@@ -905,7 +905,6 @@ class System:
         on_match: Callable[[MatchResult], None] | None = None,
     ):
         self.cfg = cfg
-        self.world: Rect = WORLD_UNIT
         n, m, e = cfg.grid_n, cfg.grid_m, cfg.evaluators
         router_cls, evaluator_cls = WORKERS[cfg.mode]
         # the spatially unaware modes keep an empty partitions map
@@ -1074,9 +1073,6 @@ class System:
 
     def keyword_evaluator(self, kw: str) -> int:
         return zlib.crc32(kw.encode()) % len(self.evaluator_names)
-
-    def total_candidates(self) -> int:
-        return self.counters["candidates"]
 
     def record_metrics_row(self, pids: frozenset[int], reports: dict,
                            window: dict) -> float:

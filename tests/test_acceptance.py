@@ -12,6 +12,7 @@ import time
 import pytest
 
 import test_balancer as balancer_tests
+from test_evaluator import full_cleaning_cycle
 from oracles import (
     SingleIndexOracle,
     cost_aggregates_from_cells,
@@ -229,7 +230,7 @@ def test_criterion_04_aggregates_survive_random_operations():
             side.process_object(o)
         elif r < 0.90:
             now += rng.randint(1, 50)
-            (left if rng.random() < 0.5 else right).expire_queries(now)
+            full_cleaning_cycle(left if rng.random() < 0.5 else right, now)
         else:
             if rng.random() < 0.5 and cut >= 1:
                 right.absorb_cells(left.extract_cells((cut, 0, cut, 23)))

@@ -390,7 +390,8 @@ class TestRoutingUnit:
         q = make_query(mbr=Rect(0.0, 0.8, 0.9, 0.95))
         d = u.register_query(q)
         assert set(d.targets) == {0, 1}
-        assert d.contribution == frozenset({"coffee"})
+        assert [pid for pid, _, _ in d.entries] == d.targets
+        assert {kws for _, _, kws in d.entries} == {frozenset({"coffee"})}
 
     def test_second_identical_query_adds_no_new_keywords(self):
         u = self.unit()

@@ -140,6 +140,18 @@ class TestSelectRebalanceOp:
         assert select_rebalance_op(snap, beta=20.0, spare=2) is None
         assert select_rebalance_op(snap, beta=1.0, spare=2) is not None
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan")])
+    def test_a_transfer_weight_that_is_no_cost_is_rejected(self, beta):
+        # moving the strip raises the maximum from 10 to 17: C_r -7; a beta
+        # of -1 makes C_t -10 and picked it, a nan beta vetoed every op
+        pm = {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
+        strip = ShiftCandidate(1, (3, 0, 3, 7), moved_cost=8, moved_queries=10)
+        snap = WorkloadSnapshot(pm, {0: make_stats(0, 10, 10, strips=[strip]),
+                                     1: make_stats(1, 9, 4)})
+        with pytest.raises(ValueError):
+            select_rebalance_op(snap, beta=beta, spare=None)
+        assert select_rebalance_op(snap, beta=0.0, spare=None) is None
+
     def test_split_merge_when_no_full_edge_neighbor_exists(self):
         # the heavy bottom half borders two quarter partitions, neither
         # sharing a complete edge, so splitting it and merging the light

@@ -1,17 +1,22 @@
-"""CLI behavior: argument handling, output files, and executor parity."""
+"""CLI behavior: argument handling, output files, and cross-mode parity."""
 
+import argparse
 import csv
 import json
 import re
 import filecmp
+from pathlib import Path
 
 import pytest
 
 from skystream.agrid import AGrid, load_partitioning, uniform_partitioning
+from skystream import runtime
 from skystream.cli import (
     BENCH_PARTITIONS,
+    MODES,
     RectTree,
     bench_rows,
+    build_parser,
     build_workload,
     main,
     _parse_grid,
@@ -59,6 +64,13 @@ class TestArguments:
         with pytest.raises(SystemExit):
             main(["run", "--mode", "broadcast", "--workload", "kind=NormalTweets"])
 
+    def test_parallel_executor_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--workload", "kind=NormalTweets,objects=10", "--parallel"])
+
+    def test_cli_modes_are_the_runtime_modes(self):
+        assert set(MODES.values()) == set(runtime.WORKERS)
+
     def test_adaptive_value_forms(self, tmp_path):
         wl = "kind=NormalTweets,objects=30,queries=5"
         assert main(["run", "--workload", wl, "--grid", "8x8",
@@ -79,10 +91,47 @@ class TestArguments:
                      "--out", out]) == 2                             # typo key
         assert main(["run", "--workload", wl, "--sf", "0",
                      "--out", out]) == 2                             # bad sf
+        for sf in ("nan", "inf"):
+            assert main(["run", "--workload", wl, "--sf", sf,
+                         "--out", out]) == 2                         # non-finite sf
+        for beta in ("-1", "nan", "inf"):
+            assert main(["run", "--workload", wl, "--beta", beta,
+                         "--out", out]) == 2                         # bad beta
         assert main(["run", "--trace", str(tmp_path / "missing.trace"),
                      "--out", out]) == 2                             # no such file
         assert main(["run", "--workload", "kind=NormalTweets,predicate=NEARBY",
                      "--out", out]) == 2                             # bad predicate
+
+
+# -- README -------------------------------------------------------------------------
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_flags_in_readme(text: str) -> set[str]:
+    """--flags of the Flags paragraph under the "skystream run" heading."""
+    section = text.split("### skystream run", 1)[1].split("\n### ", 1)[0]
+    para = section.split("Flags:", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"`(--[a-z][a-z-]*)", para))
+
+
+def run_flags_in_parser() -> set[str]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices["run"]._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+class TestReadme:
+    def test_run_flags_match_the_parser(self):
+        assert run_flags_in_readme(README.read_text()) == run_flags_in_parser()
+
+    def test_a_flag_dropped_from_one_side_is_caught(self):
+        text = README.read_text()
+        assert "`--seed N`, " in text
+        assert run_flags_in_readme(text.replace("`--seed N`, ", "")) != run_flags_in_parser()
 
 
 # -- workload argument -------------------------------------------------------------
@@ -240,7 +289,6 @@ class TestCrossModeParity:
                 "--grid", "32x32", "--evaluators", "4", "--seed", "3"]
         runs = {mode: ["--mode", mode]
                 for mode in ("agrid", "uniform", "broadcast-baseline", "textual")}
-        runs["parallel"] = ["--parallel"]
         results = {}
         for name, extra in runs.items():
             run_ok(base + extra + ["--out", str(tmp_path / name)])
@@ -248,28 +296,6 @@ class TestCrossModeParity:
         assert len(results["agrid"]) > 3000
         for name, got in results.items():
             assert got == results["agrid"], name
-
-
-# -- parallel executor ---------------------------------------------------------------
-
-
-class TestParallelExecutor:
-    def test_same_matches_as_sequential(self, tmp_path):
-        wl = "kind=NormalTweets,objects=2000,queries=300,side=0.02,seed=11"
-        base = ["run", "--workload", wl, "--grid", "16x16", "--evaluators", "3",
-                "--seed", "11"]
-        run_ok(base + ["--out", str(tmp_path / "seq")])
-        run_ok(base + ["--out", str(tmp_path / "par"), "--parallel"])
-        seq = sorted((tmp_path / "seq" / "results.txt").read_text().splitlines())
-        par = sorted((tmp_path / "par" / "results.txt").read_text().splitlines())
-        assert seq == par and len(seq) > 50
-
-    def test_rejects_adaptive_and_non_grid_modes(self, tmp_path):
-        wl = "kind=NormalTweets,objects=10,queries=2"
-        assert main(["run", "--workload", wl, "--parallel", "--adaptive",
-                     "--out", str(tmp_path / "x")]) == 2
-        assert main(["run", "--workload", wl, "--parallel", "--mode", "textual",
-                     "--out", str(tmp_path / "y")]) == 2
 
 
 # -- bench ---------------------------------------------------------------------------

@@ -55,6 +55,16 @@ def make_object(geom, oid, i, j, text=("coffee",), ts=0):
     return SpatialKeywordObject(oid, cell_point(geom, i, j), frozenset(text), ts)
 
 
+def full_cleaning_cycle(ev: EvaluatorState, now: int) -> None:
+    """Evict every query with expiry <= now from every owned cell.
+
+    The first step finishes the cycle from wherever the cursor stands; the
+    second sweeps every owned cell from the first.
+    """
+    for _ in range(2):
+        ev.cleaning_step(now + 1, budget=ev.owned_cell_count())
+
+
 def check_aggregates(ev: EvaluatorState) -> None:
     rows, cols, total = cost_aggregates_from_cells(ev.cells)
     assert {k: v for k, v in ev.row_cost.items() if v} == rows
@@ -479,20 +489,43 @@ class TestCleaning:
         ev.extract_cells((0, 0, 3, 1))
         assert ev.cleaning_step(watermark=0, budget=4) == frozenset({"coffee"})
 
-    def test_expire_queries_now_boundary(self):
+    def test_full_cleaning_cycle_now_boundary(self):
         g = GridGeometry(2, 2)
         ev = EvaluatorState(0, g, (0, 0, 1, 1))
         ev.register_query(make_query(g, 1, 0, 0, 1, 1, expiry=5))
         ev.register_query(make_query(g, 2, 0, 0, 1, 1, expiry=6))
-        assert ev.expire_queries(now=5) == 1
+        full_cleaning_cycle(ev, now=5)
         assert set(ev.registry) == {2}
+
+    def test_full_cleaning_cycle_from_mid_cycle(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        rng = random.Random(11)
+        # one expired query sits only in the first cell, behind the cursor
+        queries = [make_query(g, 0, 0, 0, 0, 0, text=("a",), expiry=3)]
+        for qid in range(1, 30):
+            x0, y0 = rng.randrange(4), rng.randrange(4)
+            x1, y1 = rng.randrange(x0, 4), rng.randrange(y0, 4)
+            queries.append(make_query(g, qid, x0, y0, x1, y1, text=(rng.choice("abc"),),
+                                      expiry=rng.randrange(20)))
+        for q in queries:
+            ev.register_query(q)
+        ev.cleaning_step(watermark=0, budget=6)  # evicts nothing, moves the cursor
+        assert ev._cursor == 6
+        full_cleaning_cycle(ev, now=9)
+        assert set(ev.registry) == {q.qid for q in queries if q.expiry > 9}
+        assert ev.registry and len(ev.registry) < len(queries)
+        for cell in ev.cells.values():
+            assert cell.qids <= set(ev.registry)
+        check_aggregates(ev)
+        check_summary(ev)
 
     def test_eviction_reclaims_empty_cells(self):
         g = GridGeometry(2, 2)
         ev = EvaluatorState(0, g, (0, 0, 1, 1))
         ev.register_query(make_query(g, 1, 0, 0, 1, 1, expiry=1))
         assert len(ev.cells) == 4
-        ev.expire_queries(now=2)
+        full_cleaning_cycle(ev, now=2)
         assert not ev.cells  # nothing indexed, no cost history: drop them
 
     def test_costed_cell_survives_eviction(self):
@@ -500,7 +533,7 @@ class TestCleaning:
         ev = EvaluatorState(0, g, (0, 0, 1, 1))
         ev.register_query(make_query(g, 1, 0, 0, 1, 1, expiry=1, text=("x",)))
         ev.process_object(make_object(g, 1, 0, 0, text=("x",), ts=0))
-        ev.expire_queries(now=2)
+        full_cleaning_cycle(ev, now=2)
         assert ev.cells[(0, 0)].cost == 1
         assert not ev.cells[(0, 0)].qids
 
@@ -602,7 +635,7 @@ class TestMigration:
         ev.register_query(make_query(g, 3, 1, 1, 1, 1, text=("tea", "jam")))
         ev.register_query(make_query(g, 4, 1, 1, 1, 1, predicate=Predicate.INSIDE, text=()))
         ev.process_object(make_object(g, 2, 1, 1, text=("tea",), ts=1))
-        ev.expire_queries(now=5)
+        full_cleaning_cycle(ev, now=5)
         assert cell.qids == {2, 3, 4} and cell.inverted == {"tea": {3}, "jam": {3}}
         assert (snap.cost, snap.qids, snap.spatial_only, snap.inverted) == want
 
@@ -692,7 +725,9 @@ def test_random_operations_keep_books_balanced(data):
             ts = data.draw(st.integers(0, 30))
             ev.process_object(make_object(g, 0, i, j, text=words, ts=ts))
         elif op == "expire":
-            ev.expire_queries(data.draw(st.integers(0, 30)))
+            now = data.draw(st.integers(0, 30))
+            full_cleaning_cycle(ev, now)
+            assert all(q.expiry > now for q in ev.registry.values())
         else:
             ev.cleaning_step(data.draw(st.integers(0, 30)), budget=data.draw(st.integers(1, 9)))
         # the scan is skipped below the floor, so it must never pass a live query

@@ -31,6 +31,7 @@ from skystream.runtime import (
     Scheduler,
     System,
     SystemConfig,
+    WORKERS,
     format_match,
     format_trace_object,
     format_trace_query,
@@ -1173,7 +1174,7 @@ class TestOtherModes:
         s = run_interleaved(queries, objects, 3, mode="broadcast", adaptive=False,
                             stats_cadence=BIG, clean_interval=BIG)
         assert sorted_results(s) == want
-        assert s.total_candidates() == len(queries) * len(objects)
+        assert s.counters["candidates"] == len(queries) * len(objects)
         assert s.counters["forwarded_objects"] == len(objects) * len(s.evaluator_names)
 
 
@@ -1229,6 +1230,19 @@ class TestConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(mode="hub")
+
+    def test_modes_are_the_workers_keys(self):
+        for mode in WORKERS:
+            assert SystemConfig(mode=mode).mode == mode
+        for name in ("Agrid", "broadcast-baseline", "adaptive", ""):
+            with pytest.raises(ValueError):
+                SystemConfig(mode=name)
+
+    @pytest.mark.parametrize("beta", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_transfer_weight_must_be_a_finite_cost(self, beta):
+        with pytest.raises(ValueError):
+            SystemConfig(beta=beta)
+        assert SystemConfig(beta=0.0).beta == 0.0
 
     def test_partition_ids_must_fit_evaluators(self):
         cfg = SystemConfig(grid_n=4, grid_m=4, evaluators=2)
