@@ -21,7 +21,6 @@ from .model import (
 from .agrid import (
     AGrid,
     RoutingUnit,
-    SummaryConfig,
     dump_partitioning,
     load_partitioning,
     summary_contribution,

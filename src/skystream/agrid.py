@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, floor
 from typing import Iterable
 
@@ -32,11 +32,10 @@ __all__ = [
     "EmptyIntersectionError",
     "NoOverlapError",
     "TilingError",
+    "WORLD",
     "GridGeometry",
     "AGrid",
-    "SummaryConfig",
     "summary_contribution",
-    "RouterSummaries",
     "RoutingUnit",
     "full_edge_neighbors",
     "corner_shift_candidates",
@@ -53,7 +52,9 @@ CellRect = tuple[int, int, int, int]
 # queries, which no textual filter can represent). Outside normal token space.
 ANY_KEYWORD = "\x00any"
 
-WORLD_UNIT = Rect(0.0, 0.0, 1.0, 1.0)
+# The space every grid covers; objects and query ranges outside it are
+# rejected or clipped.
+WORLD = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 class OutOfWorldError(ValueError):
@@ -90,50 +91,43 @@ def rect_intersect(a: CellRect, b: CellRect) -> CellRect | None:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Cell coordinate math for an n x m grid over a world rectangle."""
+    """Cell coordinate math for an n x m grid over the unit square."""
 
     n: int
     m: int
-    world: Rect = WORLD_UNIT
 
     def cell_of(self, loc: Point) -> tuple[int, int]:
-        # once per object: unpacked rather than going through Rect.contains
+        # once per object: unpacked rather than going through WORLD.contains
         x, y = loc
-        w = self.world
-        xmin, ymin, xmax, ymax = w.xmin, w.ymin, w.xmax, w.ymax
-        if not (xmin <= x < xmax and ymin <= y < ymax):
-            raise OutOfWorldError(f"{loc} outside world {w}")
+        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
+            raise OutOfWorldError(f"{loc} outside the unit square")
         n, m = self.n, self.m
-        i = int((x - xmin) / (xmax - xmin) * n)
-        j = int((y - ymin) / (ymax - ymin) * m)
+        i = int(x * n)
+        j = int(y * m)
         # Float edge: clamp keeps boundary points in the last cell.
         return (i if i < n else n - 1, j if j < m else m - 1)
 
     def cell_range(self, rect: Rect) -> CellRect:
-        """Cells overlapping `rect` (clipped to the world), inclusive bounds."""
+        """Cells overlapping `rect` (clipped to the unit square), inclusive bounds."""
         # clips as Rect.clip does, by comparing floats (on a tie the rect's
         # own value is kept, as max and min keep their first argument), but
         # without building the clipped Rect
-        w = self.world
-        wx0, wy0, wx1, wy1 = w.xmin, w.ymin, w.xmax, w.ymax
         xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
-        if wx0 > xmin:
-            xmin = wx0
-        if wy0 > ymin:
-            ymin = wy0
-        if wx1 < xmax:
-            xmax = wx1
-        if wy1 < ymax:
-            ymax = wy1
+        if xmin < 0.0:
+            xmin = 0.0
+        if ymin < 0.0:
+            ymin = 0.0
+        if xmax > 1.0:
+            xmax = 1.0
+        if ymax > 1.0:
+            ymax = 1.0
         if xmin >= xmax or ymin >= ymax:
-            raise EmptyIntersectionError(f"{rect} does not intersect world")
+            raise EmptyIntersectionError(f"{rect} does not intersect the unit square")
         n, m = self.n, self.m
-        sx = n / (wx1 - wx0)
-        sy = m / (wy1 - wy0)
-        x0 = floor((xmin - wx0) * sx)
-        y0 = floor((ymin - wy0) * sy)
-        x1 = ceil((xmax - wx0) * sx) - 1
-        y1 = ceil((ymax - wy0) * sy) - 1
+        x0 = floor(xmin * n)
+        y0 = floor(ymin * m)
+        x1 = ceil(xmax * n) - 1
+        y1 = ceil(ymax * m) - 1
         if x0 < 0:
             x0 = 0
         if y0 < 0:
@@ -157,13 +151,11 @@ class AGrid:
         n: int,
         m: int,
         pm: dict[int, CellRect],
-        world: Rect = WORLD_UNIT,
         generation: int = 0,
     ):
         self.n = n
         self.m = m
-        self.world = world
-        self.geom = GridGeometry(n, m, world)
+        self.geom = GridGeometry(n, m)
         self.generation = generation
         self.pm: dict[int, CellRect] = dict(pm)
         self.cell_owner = self._build_owner(n, m, self.pm)
@@ -362,7 +354,7 @@ def dump_partitioning(grid: AGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_partitioning(text: str, world: Rect = WORLD_UNIT) -> AGrid:
+def load_partitioning(text: str) -> AGrid:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
     if len(head) != 4 or head[0] != "agrid":
@@ -372,63 +364,118 @@ def load_partitioning(text: str, world: Rect = WORLD_UNIT) -> AGrid:
     for ln in lines[1:]:
         pid, x0, y0, x1, y1 = (int(v) for v in ln.split())
         pm[pid] = (x0, y0, x1, y1)
-    return AGrid(n, m, pm, world=world, generation=generation)
+    return AGrid(n, m, pm, generation=generation)
 
 
 # -- textual summaries -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryConfig:
-    """How queries contribute keywords to partition summaries.
-
-    contains_mode:
-      "filter_lex"    CONTAINS queries contribute one filter keyword, the
-                      lexicographically smallest (deterministic, no stats).
-      "full"          all keywords (baseline for traffic comparisons).
-    """
-
-    contains_mode: str = "filter_lex"
-
-
-def summary_contribution(q: ContinuousQuery, cfg: SummaryConfig = SummaryConfig()) -> frozenset[str]:
+def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
     """Keywords a query adds to its partitions' summaries.
 
     OVERLAPS needs every keyword present (any shared keyword triggers it).
-    CONTAINS only needs one: an object matching must carry all query
-    keywords, so indexing under a single filter keyword never under-reports.
+    CONTAINS only needs one, the lexicographically smallest: an object
+    matching must carry all query keywords, so indexing under a single filter
+    keyword never under-reports.
     INSIDE queries have no textual filter at all and force the wildcard.
     """
     if q.predicate is Predicate.INSIDE:
         return frozenset((ANY_KEYWORD,))
-    if q.predicate is Predicate.OVERLAPS or cfg.contains_mode == "full":
+    if q.predicate is Predicate.OVERLAPS:
         return q.text
     return frozenset((min(q.text),))
 
 
-class RouterSummaries:
-    """Per-partition keyword summaries as seen by one routing replica.
+@dataclass
+class RoutingDecision:
+    """Outcome of registering one query at a routing unit."""
 
-    The summary must never under-report: every keyword some live query at the
+    targets: list[int]
+    entries: list[tuple[int, int, frozenset[str]]]  # (pid, seq, contribution)
+
+
+class RoutingUnit:
+    """One routing replica: the grid plus per-partition keyword summaries.
+
+    A summary must never under-report: every keyword some live query at the
     partition depends on has to be present, or objects get dropped and
     matches silently lost. Refreshes from the evaluator's cleaning cycle
     replace the base set, so every registration is also held as a pending
     entry until a refresh's per-origin watermark proves the evaluator
     incorporated it. Refreshes from a transfer destination are ignored until
     their epoch shows the absorbed cells (see runtime), and from premerge
-    until then the destination's summary unions the source's.
+    until then the destination's summary unions the source's. A partition
+    that a map update retired keeps its sets while such a union view reads
+    them, and loses them when the view ends.
+
+    Transport-free; the runtime wraps this with channels. Replicas converge
+    because they all apply the same registrations (their own plus forwarded
+    entries) and the same refresh stream per partition.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, unit_id: int, grid: AGrid):
+        self.unit_id = unit_id
+        self.grid = grid
+        self.reg_seq: dict[int, int] = {}  # pid -> queries this unit sent there
         self.base: dict[int, set[str]] = {}
         # pid -> origin -> OrderedDict(seq -> contribution)
         self.regs: dict[int, dict[tuple, OrderedDict]] = {}
         # pid -> keyword -> pending entries contributing it; positive counts only
         self.kw_count: dict[int, dict[str, int]] = {}
         self.expected_epoch: dict[int, int] = {}
-        self.uview: dict[int, int] = {}
+        self.uview: dict[int, int] = {}  # premerged dst -> src
+        self.retired: set[int] = set()  # pids the last map update removed
 
-    def add_entry(self, pid: int, origin: tuple, seq: int, kws: frozenset[str]) -> None:
+    @property
+    def origin(self) -> tuple:
+        return ("r", self.unit_id)
+
+    # -- data path ----------------------------------------------------------
+
+    def route_point(self, loc: Point) -> tuple[int, tuple[int, int]]:
+        """The partition owning `loc`, and its cell, which travels with the object."""
+        grid = self.grid
+        cell = grid.cell_of(loc)
+        return grid.owner_of(cell), cell
+
+    def should_forward_object(self, o_text: frozenset[str], pid: int) -> bool:
+        uview = self.uview
+        pids = (pid, uview[pid]) if pid in uview else (pid,)
+        for p in pids:
+            base = self.base.get(p, ())
+            counts = self.kw_count.get(p, ())
+            if ANY_KEYWORD in base or ANY_KEYWORD in counts:
+                return True
+            for kw in o_text:
+                if kw in base or kw in counts:
+                    return True
+        return False
+
+    def register_query(self, q: ContinuousQuery) -> RoutingDecision:
+        """Route a query: pick target partitions, update summaries.
+
+        Returns the decision, including the per-target (seq, contribution)
+        entries that must be forwarded to the other replicas.
+        """
+        targets = self.grid.neighbor_search(q.mbr)
+        contribution = summary_contribution(q)
+        entries: list[tuple[int, int, frozenset[str]]] = []
+        origin = self.origin
+        reg_seq = self.reg_seq
+        add_entry = self._add_entry
+        for pid in targets:
+            seq = reg_seq.get(pid, 0)
+            reg_seq[pid] = seq + 1
+            add_entry(pid, origin, seq, contribution)
+            entries.append((pid, seq, contribution))
+        return RoutingDecision(targets, entries)
+
+    # -- summary maintenance ------------------------------------------------
+
+    def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str]) -> None:
+        self._add_entry(pid, origin, seq, kws)
+
+    def _add_entry(self, pid: int, origin: tuple, seq: int, kws: frozenset[str]) -> None:
         per_origin = self.regs.setdefault(pid, {}).setdefault(origin, OrderedDict())
         if seq in per_origin:
             return
@@ -439,7 +486,8 @@ class RouterSummaries:
 
     def apply_refresh(self, pid: int, kws: Iterable[str], vector: dict[tuple, int], epoch: int) -> bool:
         """Install a rebuilt summary; False when a stale epoch discards it."""
-        if epoch < self.expected_epoch.get(pid, 0):
+        expected = self.expected_epoch.get(pid, 0)
+        if epoch < expected:
             return False
         self.base[pid] = set(kws)
         counts = self.kw_count.get(pid)
@@ -456,33 +504,24 @@ class RouterSummaries:
                         counts[kw] = left
                     else:
                         del counts[kw]
-        if epoch == self.expected_epoch.get(pid, 0):
-            self.uview.pop(pid, None)
+        if epoch == expected:
+            src = self.uview.pop(pid, None)
+            if src in self.retired:
+                # the union view was the last live reference to it
+                self._drop(src)
         return True
 
     def premerge(self, dst: int, src: int) -> None:
         self.uview[dst] = src
         self.expected_epoch[dst] = self.expected_epoch.get(dst, 0) + 1
 
-    def drop(self, pid: int) -> None:
+    def _drop(self, pid: int) -> None:
         """Forget a retired partition's sets; its epoch counter stays, since
         a later reuse of the same id must continue from it."""
         self.base.pop(pid, None)
         self.regs.pop(pid, None)
         self.kw_count.pop(pid, None)
         self.uview.pop(pid, None)
-
-    def should_forward(self, pid: int, o_text: frozenset[str]) -> bool:
-        pids = (pid, self.uview[pid]) if pid in self.uview else (pid,)
-        for p in pids:
-            base = self.base.get(p, ())
-            counts = self.kw_count.get(p, ())
-            if ANY_KEYWORD in base or ANY_KEYWORD in counts:
-                return True
-            for kw in o_text:
-                if kw in base or kw in counts:
-                    return True
-        return False
 
     def effective_set(self, pid: int) -> frozenset[str]:
         out: set[str] = set(self.base.get(pid, ()))
@@ -491,67 +530,7 @@ class RouterSummaries:
             out |= self.effective_set(self.uview[pid])
         return frozenset(out)
 
-
-@dataclass
-class RoutingDecision:
-    """Outcome of registering one query at a routing unit."""
-
-    targets: list[int]
-    entries: list[tuple[int, int, frozenset[str]]]  # (pid, seq, contribution)
-
-
-class RoutingUnit:
-    """One routing replica: the grid plus its summary view.
-
-    Transport-free; the runtime wraps this with channels. Replicas converge
-    because they all apply the same registrations (their own plus forwarded
-    entries) and the same refresh stream per partition.
-    """
-
-    def __init__(self, unit_id: int, grid: AGrid, cfg: SummaryConfig = SummaryConfig()):
-        self.unit_id = unit_id
-        self.grid = grid
-        self.cfg = cfg
-        self.summaries = RouterSummaries()
-        self.reg_seq: dict[int, int] = {}  # pid -> queries this unit sent there
-
-    @property
-    def origin(self) -> tuple:
-        return ("r", self.unit_id)
-
-    def register_query(self, q: ContinuousQuery) -> RoutingDecision:
-        """Route a query: pick target partitions, update summaries.
-
-        Returns the decision, including the per-target (seq, contribution)
-        entries that must be forwarded to the other replicas.
-        """
-        targets = self.grid.neighbor_search(q.mbr)
-        contribution = summary_contribution(q, self.cfg)
-        entries: list[tuple[int, int, frozenset[str]]] = []
-        origin = self.origin
-        reg_seq = self.reg_seq
-        add_entry = self.summaries.add_entry
-        for pid in targets:
-            seq = reg_seq.get(pid, 0)
-            reg_seq[pid] = seq + 1
-            add_entry(pid, origin, seq, contribution)
-            entries.append((pid, seq, contribution))
-        return RoutingDecision(targets, entries)
-
-    def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str]) -> None:
-        self.summaries.add_entry(pid, origin, seq, kws)
-
-    def apply_refresh(self, pid: int, kws: Iterable[str], vector: dict[tuple, int], epoch: int) -> bool:
-        return self.summaries.apply_refresh(pid, kws, vector, epoch)
-
-    def should_forward_object(self, o_text: frozenset[str], pid: int) -> bool:
-        return self.summaries.should_forward(pid, o_text)
-
-    def route_point(self, loc: Point) -> tuple[int, tuple[int, int]]:
-        """The partition owning `loc`, and its cell, which travels with the object."""
-        grid = self.grid
-        cell = grid.cell_of(loc)
-        return grid.owner_of(cell), cell
-
     def apply_partition_update(self, pm: dict[int, CellRect], generation: int) -> None:
+        self.retired |= set(self.grid.pm) - set(pm)
+        self.retired -= set(pm)
         self.grid.apply_update(pm, generation)

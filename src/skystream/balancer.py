@@ -48,9 +48,8 @@ __all__ = [
 class WorkloadSnapshot:
     """Per-partition statistics as of one reporting round.
 
-    The runtime patches missing reports with each evaluator's previous
-    one, so consumers may assume completeness: every pid in the partition
-    map has an entry.
+    Complete by construction: the coordinator closes a round only once
+    every partition in the map has reported, so every pid has an entry.
     """
 
     pm: dict[int, CellRect]

@@ -36,7 +36,6 @@ from typing import Iterator
 from .agrid import (
     CellRect,
     GridGeometry,
-    SummaryConfig,
     corner_shift_candidates,
     full_edge_neighbors,
     rect_cells,
@@ -169,17 +168,10 @@ class EvaluatorStats:
 
 
 class EvaluatorState:
-    def __init__(
-        self,
-        pid: int,
-        geom: GridGeometry,
-        bounds: CellRect | None,
-        summary_cfg: SummaryConfig = SummaryConfig(),
-    ):
+    def __init__(self, pid: int, geom: GridGeometry, bounds: CellRect | None):
         self.pid = pid
         self.geom = geom
         self.bounds = bounds
-        self.summary_cfg = summary_cfg
         self.cells: dict[tuple[int, int], CellIndex] = {}
         self.registry: dict[int, ContinuousQuery] = {}
         self.attach_count: dict[int, int] = {}
@@ -295,7 +287,7 @@ class EvaluatorState:
         if q.expiry < self._expiry_floor:
             self._expiry_floor = q.expiry
         counts = self.summary_counts
-        for kw in summary_contribution(q, self.summary_cfg):
+        for kw in summary_contribution(q):
             counts[kw] = counts.get(kw, 0) + 1
 
     def _retire(self, qid: int, removed: int) -> None:
@@ -307,7 +299,7 @@ class EvaluatorState:
             return
         del self.attach_count[qid]
         counts = self.summary_counts
-        for kw in summary_contribution(self.registry.pop(qid), self.summary_cfg):
+        for kw in summary_contribution(self.registry.pop(qid)):
             left = counts[kw] - 1
             if left:
                 counts[kw] = left

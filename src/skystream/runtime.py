@@ -50,7 +50,7 @@ from .agrid import (
     GridGeometry,
     OutOfWorldError,
     RoutingUnit,
-    SummaryConfig,
+    WORLD,
     rect_contains_cell,
     rect_intersect,
     summary_contribution,
@@ -200,7 +200,6 @@ class SystemConfig:
     stats_cadence: int = 10_000
     adaptive: bool = False
     mode: str = "agrid"  # a key of WORKERS
-    summary: SummaryConfig = field(default_factory=SummaryConfig)
     clean_interval: int = 64  # evaluator deliveries between cleaning steps
     retain_results: bool = True
 
@@ -223,7 +222,8 @@ class RouterWorker:
     """One routing replica; replica 0 doubles as the rebalance coordinator.
 
     Routes by cell ownership. The other modes' subclasses override the data
-    path only; they hold no grid and are sent no summary or map traffic.
+    path only; they hold no partitions map and are sent no summary or map
+    traffic.
     """
 
     def __init__(self, name: str, index: int, system: "System"):
@@ -231,12 +231,11 @@ class RouterWorker:
         self.index = index
         self.sys = system
         cfg = system.cfg
+        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m)
         self.unit: RoutingUnit | None = None
         if system.pm:
-            grid = AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm), generation=0)
-            self.unit = RoutingUnit(index, grid, cfg.summary)
+            self.unit = RoutingUnit(index, AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm)))
         self.use_summaries = system.use_summaries
-        self.retired: set[int] = set()
         # coordinator state, used on replica 0 only
         self.op: RebalanceOp | None = None
         self.op_id = 0
@@ -277,6 +276,17 @@ class RouterWorker:
     @staticmethod
     def check_query(q: ContinuousQuery) -> None:
         """Reject, at ingest, a query this mode cannot serve."""
+        if not q.mbr.intersects(WORLD):
+            raise ValueError(f"query {q.qid} range {q.mbr} misses the unit square")
+
+    def locate(self, o: SpatialKeywordObject) -> tuple[int, int] | None:
+        """`o`'s cell for the modes without a partitions map; None, counted,
+        when `o` lies outside the unit square."""
+        try:
+            return self.geom.cell_of(o.loc)
+        except OutOfWorldError:
+            self.sys.counters["out_of_world"] += 1
+            return None
 
     def object_targets(self, o: SpatialKeywordObject
                        ) -> tuple[tuple[int, int] | None, list[str]]:
@@ -313,9 +323,6 @@ class RouterWorker:
     def route_query(self, q: ContinuousQuery) -> None:
         sys = self.sys
         decision = self.unit.register_query(q)
-        if not decision.targets:
-            sys.counters["out_of_world"] += 1
-            return
         origin = self.unit.origin
         for pid, seq, kws in decision.entries:
             sys.send(self.name, f"e{pid}", MsgKind.QUERY,
@@ -329,22 +336,13 @@ class RouterWorker:
     # -- summary and map maintenance -------------------------------------------------
 
     def apply_refresh(self, p: dict) -> None:
-        pid = p["pid"]
-        summaries = self.unit.summaries
-        chained = summaries.uview.get(pid)
-        self.unit.apply_refresh(pid, p["kws"], p["vector"], p["epoch"])
-        if chained is not None and pid not in summaries.uview and chained in self.retired:
-            # the dropped union view was the last live reference to a
-            # retired partition
-            summaries.drop(chained)
+        self.unit.apply_refresh(p["pid"], p["kws"], p["vector"], p["epoch"])
         if p.get("flush_of") is not None:
             self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                           verb="refresh_ack", op_id=p["flush_of"], pid=p["pid"],
                           router=self.name)
 
     def apply_partition_update(self, p: dict) -> None:
-        self.retired |= set(self.unit.grid.pm) - set(p["pm"])
-        self.retired -= set(p["pm"])
         self.unit.apply_partition_update(p["pm"], p["generation"])
         self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                       verb="pm_ack", generation=p["generation"], router=self.name)
@@ -422,7 +420,7 @@ class RouterWorker:
     def handle_command(self, p: dict) -> None:
         verb = p["verb"]
         if verb == "premerge":
-            self.unit.summaries.premerge(p["dst"], p["src"])
+            self.unit.premerge(p["dst"], p["src"])
             return
         if self.index != 0:
             raise ProtocolViolation(f"non-coordinator {self.name} got {verb!r}")
@@ -497,7 +495,7 @@ class EvaluatorWorker:
         self.sys = system
         cfg = system.cfg
         geom = GridGeometry(cfg.grid_n, cfg.grid_m)
-        self.state = EvaluatorState(index, geom, system.pm.get(index), cfg.summary)
+        self.state = EvaluatorState(index, geom, system.pm.get(index))
         self.reg_seen: dict[tuple, int] = {}
         self.own_seq = 0
         self.epoch = 0
@@ -654,7 +652,7 @@ class EvaluatorWorker:
 
     def broadcast_own_registration(self, q: ContinuousQuery) -> None:
         """Re-registered queries join the summaries under this evaluator's name."""
-        kws = summary_contribution(q, self.sys.cfg.summary)
+        kws = summary_contribution(q)
         seq = self.own_seq
         self.own_seq += 1
         self.reg_seen[self.origin] = seq
@@ -697,7 +695,7 @@ class EvaluatorWorker:
         elif verb == "op_done":
             self.transient = None
         elif verb == "flush_summary":
-            self.broadcast_refresh(flush_of=p["op_id"])
+            self.broadcast_refresh(self.state.summary_set(), flush_of=p["op_id"])
         else:
             raise ProtocolViolation(f"unknown command verb {verb!r}")
 
@@ -770,12 +768,12 @@ class EvaluatorWorker:
         budget = max(1, self.state.owned_cell_count() // 32)
         kws = self.state.cleaning_step(self.sys.watermark(), budget)
         if kws is not None and self.sys.use_summaries:
-            self.broadcast_refresh(flush_of=None)
+            self.broadcast_refresh(kws, flush_of=None)
 
-    def broadcast_refresh(self, flush_of: int | None) -> None:
+    def broadcast_refresh(self, kws: frozenset[str], flush_of: int | None) -> None:
         payload = dict(
             pid=self.index,
-            kws=self.state.summary_set(),
+            kws=kws,
             vector=dict(self.reg_seen),
             epoch=self.epoch,
             flush_of=flush_of,
@@ -790,19 +788,10 @@ class EvaluatorWorker:
 class BroadcastRouter(RouterWorker):
     """Every object goes to every evaluator; queries are spread by qid."""
 
-    def __init__(self, name: str, index: int, system: "System"):
-        super().__init__(name, index, system)
-        cfg = system.cfg
-        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m)
-
     def object_targets(self, o: SpatialKeywordObject
                        ) -> tuple[tuple[int, int] | None, list[str]]:
-        try:
-            cell = self.geom.cell_of(o.loc)
-        except OutOfWorldError:
-            self.sys.counters["out_of_world"] += 1
-            return None, []
-        return cell, self.sys.evaluator_names
+        cell = self.locate(o)
+        return cell, self.sys.evaluator_names if cell is not None else []
 
     def route_query(self, q: ContinuousQuery) -> None:
         names = self.sys.evaluator_names
@@ -826,6 +815,7 @@ class TextualRouter(RouterWorker):
 
     @staticmethod
     def check_query(q: ContinuousQuery) -> None:
+        RouterWorker.check_query(q)
         if q.predicate is Predicate.INSIDE or not q.text:
             raise ValueError("textual mode serves keyword predicates only")
 
@@ -834,7 +824,8 @@ class TextualRouter(RouterWorker):
 
     def object_targets(self, o: SpatialKeywordObject
                        ) -> tuple[tuple[int, int] | None, list[str]]:
-        return None, self.keyword_targets(o.text)
+        cell = self.locate(o)
+        return cell, self.keyword_targets(o.text) if cell is not None else []
 
     def route_query(self, q: ContinuousQuery) -> None:
         for ename in self.keyword_targets(q.text):

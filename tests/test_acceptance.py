@@ -7,6 +7,7 @@ as a diff here, not in a helper.
 """
 
 import random
+import sys
 import time
 
 import pytest
@@ -23,9 +24,9 @@ from oracles import (
 from skystream.agrid import (
     AGrid,
     GridGeometry,
-    SummaryConfig,
     corner_shift_candidates,
     rect_intersect,
+    summary_contribution,
     uniform_partitioning,
 )
 from skystream.balancer import (
@@ -37,6 +38,8 @@ from skystream.balancer import (
 )
 from skystream.evaluator import EvaluatorState, ShiftCandidate, SplitChoice
 from skystream.model import ContinuousQuery, Point, Predicate, Rect, SpatialKeywordObject
+from skystream import agrid as agrid_mod
+from skystream import evaluator as evaluator_mod
 from skystream import runtime as runtime_mod
 from skystream.runtime import System, SystemConfig
 from skystream.workload import (
@@ -634,11 +637,15 @@ def _subset_workload(seed: int):
     return queries, objects
 
 
-def _subset_run(queries, objects, contains_mode: str):
+def _all_keywords(q):
+    """The traffic baseline: a CONTAINS query puts every keyword in the summaries."""
+    return q.text if q.predicate is Predicate.CONTAINS else summary_contribution(q)
+
+
+def _subset_run(queries, objects):
     cfg = SystemConfig(grid_n=32, grid_m=32, routers=2, evaluators=4, beta=1.0,
                        seed=3, policy="round_robin", stats_cadence=10**9,
-                       adaptive=False, mode="agrid",
-                       summary=SummaryConfig(contains_mode=contains_mode))
+                       adaptive=False, mode="agrid")
     s = System(cfg)
     for q in queries:
         s.ingest_query(q)
@@ -647,18 +654,27 @@ def _subset_run(queries, objects, contains_mode: str):
         s.ingest_object(o)
     s.drain()
     unit = s.workers["r0"].unit
-    sizes = {pid: len(unit.summaries.effective_set(pid)) for pid in s.pm}
+    sizes = {pid: len(unit.effective_set(pid)) for pid in s.pm}
     results = sorted((m.qid, m.oid, m.ts) for m in s.results)
     return results, s.counters["forwarded_objects"], sizes, dict(s.pm)
 
 
-def test_criterion_11_contains_summaries_shrink_traffic_not_results():
+def test_criterion_11_contains_summaries_shrink_traffic_not_results(monkeypatch):
+    # routers and evaluators must agree on the rule, so the baseline swaps it
+    # in every module that holds a reference
+    binders = [mod for name, mod in sorted(sys.modules.items())
+               if name.startswith("skystream")
+               and getattr(mod, "summary_contribution", None) is summary_contribution]
+    assert {runtime_mod, evaluator_mod, agrid_mod} <= set(binders)
     geom = GridGeometry(32, 32)
     strict_reductions = 0
     for seed in range(20):
         queries, objects = _subset_workload(seed)
-        res_single, fwd_single, sizes_single, pm = _subset_run(queries, objects, "filter_lex")
-        res_full, fwd_full, sizes_full, _ = _subset_run(queries, objects, "full")
+        res_single, fwd_single, sizes_single, pm = _subset_run(queries, objects)
+        with monkeypatch.context() as mp:
+            for mod in binders:
+                mp.setattr(mod, "summary_contribution", _all_keywords)
+            res_full, fwd_full, sizes_full, _ = _subset_run(queries, objects)
 
         oracle = SingleIndexOracle()
         for q in queries:

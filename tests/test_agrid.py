@@ -12,10 +12,9 @@ from skystream.agrid import (
     GridGeometry,
     NoOverlapError,
     OutOfWorldError,
-    RouterSummaries,
     RoutingUnit,
-    SummaryConfig,
     TilingError,
+    WORLD,
     corner_shift_candidates,
     dump_partitioning,
     full_edge_neighbors,
@@ -73,10 +72,11 @@ class TestCellGeometry:
 def reference_cell_range(geom: GridGeometry, rect: Rect):
     """The cell range computed through the clipped Rect, as Rect.clip builds it.
 
-    A copy kept apart from the program, so the float expressions of
+    A copy kept apart from the program, written for any world rectangle and
+    evaluated on the unit square, so the float expressions of
     `GridGeometry.cell_range` stay pinned bit for bit. None for no overlap.
     """
-    w = geom.world
+    w = WORLD
     xmin = max(rect.xmin, w.xmin)
     ymin = max(rect.ymin, w.ymin)
     xmax = min(rect.xmax, w.xmax)
@@ -96,12 +96,9 @@ def reference_cell_range(geom: GridGeometry, rect: Rect):
     return (x0, y0, x1, y1)
 
 
-WORLDS = (Rect(0.0, 0.0, 1.0, 1.0), Rect(-180.0, -90.0, 180.0, 90.0), Rect(0.1, 0.3, 0.7, 0.9))
-
-
 @st.composite
 def grid_and_rect(draw, outside=False):
-    world = draw(st.sampled_from(WORLDS))
+    world = WORLD
     n, m = draw(st.integers(1, 64)), draw(st.integers(1, 64))
 
     def coord(lo, hi, cells):
@@ -132,7 +129,7 @@ def grid_and_rect(draw, outside=False):
         else:
             ys = [world.ymax + gap, world.ymax + gap + (ys[1] - ys[0])]
     assume(xs[0] < xs[1] and ys[0] < ys[1])
-    return GridGeometry(n, m, world), Rect(xs[0], ys[0], xs[1], ys[1])
+    return GridGeometry(n, m), Rect(xs[0], ys[0], xs[1], ys[1])
 
 
 class TestCellRangeBitIdentity:
@@ -141,6 +138,8 @@ class TestCellRangeBitIdentity:
     def test_matches_the_clipped_rect_formula(self, case):
         geom, rect = case
         want = reference_cell_range(geom, rect)
+        # the ingest check and the clip agree on which ranges miss the world
+        assert (want is None) == (not rect.intersects(WORLD))
         if want is None:
             with pytest.raises(EmptyIntersectionError):
                 geom.cell_range(rect)
@@ -311,74 +310,73 @@ class TestSummaryContribution:
         q = make_query(text=("beta", "alpha"), predicate=Predicate.CONTAINS)
         assert summary_contribution(q) == frozenset({"alpha"})
 
-    def test_contains_full_mode(self):
-        cfg = SummaryConfig(contains_mode="full")
-        q = make_query(text=("beta", "alpha"), predicate=Predicate.CONTAINS)
-        assert summary_contribution(q, cfg) == frozenset({"alpha", "beta"})
-
     def test_inside_wildcard(self):
         q = ContinuousQuery(1, Rect(0, 0, 1, 1), frozenset(), Predicate.INSIDE, 10)
         assert summary_contribution(q) == frozenset({ANY_KEYWORD})
 
 
+def summary_unit() -> RoutingUnit:
+    """A replica whose summaries are driven directly, apart from its grid."""
+    return RoutingUnit(0, AGrid(4, 4, {0: (0, 0, 3, 3)}))
+
+
 class TestRouterSummaries:
     def test_entry_survives_refresh_until_watermarked(self):
-        s = RouterSummaries()
-        s.add_entry(0, ("r", 0), 0, frozenset({"coffee"}))
-        assert s.should_forward(0, frozenset({"coffee"}))
+        u = summary_unit()
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
+        assert u.should_forward_object(frozenset({"coffee"}), 0)
         # Refresh built before the evaluator saw the registration: keyword stays.
-        assert s.apply_refresh(0, (), {("r", 0): -1}, 0)
-        assert s.should_forward(0, frozenset({"coffee"}))
+        assert u.apply_refresh(0, (), {("r", 0): -1}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 0)
         # Refresh proving the registration was incorporated: entry pruned, and
         # the rebuilt set (empty here, say the query expired) governs.
-        s.apply_refresh(0, (), {("r", 0): 0}, 0)
-        assert not s.should_forward(0, frozenset({"coffee"}))
+        u.apply_refresh(0, (), {("r", 0): 0}, 0)
+        assert not u.should_forward_object(frozenset({"coffee"}), 0)
 
     def test_refresh_keeps_live_keywords(self):
-        s = RouterSummaries()
-        s.add_entry(0, ("r", 0), 0, frozenset({"coffee"}))
-        s.apply_refresh(0, ("coffee",), {("r", 0): 0}, 0)
-        assert s.should_forward(0, frozenset({"coffee"}))
-        assert not s.should_forward(0, frozenset({"tea"}))
+        u = summary_unit()
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
+        u.apply_refresh(0, ("coffee",), {("r", 0): 0}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 0)
+        assert not u.should_forward_object(frozenset({"tea"}), 0)
 
     def test_epoch_gating_discards_stale_destination_refresh(self):
-        s = RouterSummaries()
-        s.premerge(dst=1, src=0)
-        s.add_entry(0, ("r", 0), 0, frozenset({"coffee"}))
+        u = summary_unit()
+        u.premerge(dst=1, src=0)
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
         # Destination refresh built before it absorbed the moved cells.
-        assert not s.apply_refresh(1, (), {}, 0)
-        assert s.should_forward(1, frozenset({"coffee"}))  # union view holds
+        assert not u.apply_refresh(1, (), {}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 1)  # union view holds
         # Post-absorb refresh (epoch 1) is accepted and ends the union view.
-        assert s.apply_refresh(1, ("coffee",), {}, 1)
-        assert 1 not in s.uview
-        assert s.should_forward(1, frozenset({"coffee"}))
+        assert u.apply_refresh(1, ("coffee",), {}, 1)
+        assert 1 not in u.uview
+        assert u.should_forward_object(frozenset({"coffee"}), 1)
 
     def test_wildcard_forwards_everything(self):
-        s = RouterSummaries()
-        s.add_entry(2, ("r", 1), 0, frozenset({ANY_KEYWORD}))
-        assert s.should_forward(2, frozenset({"whatever"}))
+        u = summary_unit()
+        u.apply_keyword_forward(("r", 1), 2, 0, frozenset({ANY_KEYWORD}))
+        assert u.should_forward_object(frozenset({"whatever"}), 2)
 
     def test_counts_hold_only_pending_contributions(self):
-        u = RoutingUnit(0, AGrid(4, 4, {0: (0, 0, 3, 3)}))
+        u = summary_unit()
         for qid, text in enumerate([("coffee", "tea"), ("coffee",), ("beans", "tea")]):
             u.register_query(make_query(qid=qid, text=text))
         u.register_query(ContinuousQuery(9, Rect(0.1, 0.1, 0.2, 0.2), frozenset(),
                                          Predicate.INSIDE, 10**9))
-        s = u.summaries
         # a forwarded entry from the other replica stays pending
         u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}))
-        before = s.effective_set(0)
+        before = u.effective_set(0)
         # the evaluator has incorporated every registration of replica 0 and
         # reports a rebuilt set that still holds all of them
         assert u.apply_refresh(0, before - {"mocha"}, {("r", 0): 3}, 0)
-        counts = s.kw_count[0]
+        counts = u.kw_count[0]
         assert all(c > 0 for c in counts.values())
         assert counts == {"mocha": 1, "tea": 1}
-        assert s.effective_set(0) == before
+        assert u.effective_set(0) == before
         # once the last pending entry is proven, nothing is left behind
         u.apply_refresh(0, before, {("r", 0): 3, ("r", 1): 0}, 0)
-        assert s.kw_count[0] == {}
-        assert s.effective_set(0) == before
+        assert u.kw_count[0] == {}
+        assert u.effective_set(0) == before
 
 
 class TestRoutingUnit:
@@ -398,7 +396,7 @@ class TestRoutingUnit:
         q1 = make_query(qid=1)
         q2 = make_query(qid=2)
         def sets():
-            return {pid: u.summaries.effective_set(pid) for pid in u.grid.pm}
+            return {pid: u.effective_set(pid) for pid in u.grid.pm}
 
         empty = sets()
         u.register_query(q1)
@@ -414,11 +412,11 @@ class TestRoutingUnit:
         for pid, seq, kws in d.entries:
             b.apply_keyword_forward(a.origin, pid, seq, kws)
         for pid in d.targets:
-            assert a.summaries.effective_set(pid) == b.summaries.effective_set(pid)
+            assert a.effective_set(pid) == b.effective_set(pid)
         # A refresh stream applied to both keeps them identical.
         for unit in (a, b):
             unit.apply_refresh(0, ("espresso", "beans"), {a.origin: 10}, 0)
-        assert a.summaries.effective_set(0) == b.summaries.effective_set(0)
+        assert a.effective_set(0) == b.effective_set(0)
 
     def test_object_filtering(self):
         u = self.unit()

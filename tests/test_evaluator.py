@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skystream.agrid import ANY_KEYWORD, GridGeometry, SummaryConfig, summary_contribution
+from skystream.agrid import ANY_KEYWORD, GridGeometry, summary_contribution
 from skystream.evaluator import (
     CellBatch,
     CellIndex,
@@ -89,7 +89,7 @@ def check_summary(ev: EvaluatorState) -> None:
     # one contribution per registered query, however many cells it holds
     want: Counter = Counter()
     for q in ev.registry.values():
-        want.update(summary_contribution(q, ev.summary_cfg))
+        want.update(summary_contribution(q))
     assert ev.summary_set() == frozenset(k for k, c in want.items() if c > 0)
     assert ev.summary_counts == dict(want)
 

@@ -1,7 +1,9 @@
 """Every distribution mode against one brute-force index.
 
 Hypothesis draws queries of all three predicates with random expiries and
-objects on an 8x8 grid. Under random_weighted scheduling, agrid, uniform,
+objects on an 8x8 grid. Some objects lie on or past the unit square's
+edges, and some query ranges reach past them; every mode drops such an
+object, so the oracle is fed only the objects inside the square. Under random_weighted scheduling, agrid, uniform,
 broadcast and adaptive agrid must each emit exactly the SingleIndexOracle's
 match multiset; textual, which serves keyword predicates only, must do the
 same on the keyword-predicate subset. Queries arrive in two batches, the
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SingleIndexOracle
+from skystream.agrid import WORLD
 from skystream.model import ContinuousQuery, Point, Predicate, Rect, SpatialKeywordObject
 from skystream.runtime import System, SystemConfig
 
@@ -28,6 +31,9 @@ SPATIAL_MODES = (("agrid", False), ("uniform", False), ("broadcast", False),
                  ("agrid", True))
 
 coord = st.integers(0, 998).map(lambda v: v / 1000)
+# mostly inside the unit square, sometimes on or past one of its edges
+object_coord = st.one_of(coord, coord, st.integers(-300, 1300).map(lambda v: v / 1000))
+query_start = st.integers(-300, 998).map(lambda v: v / 1000)
 extent = st.integers(1, 600).map(lambda v: v / 1000)
 
 
@@ -39,9 +45,9 @@ def queries(draw):
         kws = draw(st.frozensets(st.sampled_from(WORDS),
                                  min_size=0 if pred is Predicate.INSIDE else 1,
                                  max_size=3))
-        x0, y0 = draw(coord), draw(coord)
-        mbr = Rect(x0, y0, min(x0 + draw(extent), 0.9995),
-                   min(y0 + draw(extent), 0.9995))
+        # ends past 0, so every range overlaps the square and is accepted
+        x0, y0 = draw(query_start), draw(query_start)
+        mbr = Rect(x0, y0, max(x0, 0.0) + draw(extent), max(y0, 0.0) + draw(extent))
         out.append(ContinuousQuery(qid, mbr, kws, pred, draw(st.integers(1, 120))))
     return out
 
@@ -49,7 +55,7 @@ def queries(draw):
 @st.composite
 def objects(draw):
     return [SpatialKeywordObject(
-                oid, Point(draw(coord), draw(coord)),
+                oid, Point(draw(object_coord), draw(object_coord)),
                 draw(st.frozensets(st.sampled_from(WORDS), min_size=1, max_size=3)),
                 oid)
             for oid in range(1, draw(st.integers(1, 80)) + 1)]
@@ -63,7 +69,8 @@ def oracle_matches(qs, objs, q_split, o_split):
         for q in batch_q:
             oracle.register(q)
         for o in batch_o:
-            out.update(oracle.process(o))
+            if WORLD.contains(o.loc):
+                out.update(oracle.process(o))
     return out
 
 

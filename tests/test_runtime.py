@@ -190,13 +190,30 @@ class TestDataPath:
         assert s.counters["forwarded_objects"] == 2
 
     def test_out_of_world_objects_are_counted_not_crashed(self):
-        for mode in ("agrid", "broadcast"):
+        for mode in WORKERS:
             s = small_system(mode=mode)
-            s.ingest_object(SpatialKeywordObject(1, Point(0.5, 1.5), frozenset(["x"]), 1))
+            # reaches past the square, so only the world test keeps them out
+            s.ingest_query(ContinuousQuery(1, Rect(0.4, 0.9, 1.6, 1.6), frozenset(["x"]),
+                                           Predicate.OVERLAPS, BIG))
             s.drain()
-            assert s.counters["out_of_world"] == 1
-            assert s.results == []
-            assert s.watermark() == 1  # retired, nothing stuck in flight
+            s.ingest_object(SpatialKeywordObject(1, Point(0.5, 1.5), frozenset(["x"]), 1))
+            s.ingest_object(SpatialKeywordObject(2, Point(1.2, 1.2), frozenset(["x"]), 2))
+            s.drain()
+            assert s.counters["out_of_world"] == 2, mode
+            assert s.results == [], mode
+            assert s.watermark() == 2  # retired, nothing stuck in flight
+
+    @pytest.mark.parametrize("mode", sorted(WORKERS))
+    def test_out_of_world_queries_are_rejected_at_ingest(self, mode):
+        s = small_system(mode=mode)
+        for mbr in (Rect(1.5, 1.5, 1.6, 1.6),
+                    Rect(-0.5, 0.2, 0.0, 0.4)):  # touches the square along an edge only
+            with pytest.raises(ValueError):
+                s.ingest_query(ContinuousQuery(1, mbr, frozenset(["x"]),
+                                               Predicate.OVERLAPS, BIG))
+        assert not any(s.channels.values())
+        assert s.drain() == 0
+        assert s.counters["out_of_world"] == 0  # that counter counts objects only
 
     def test_ingest_rejects_time_travel(self):
         s = small_system()
@@ -300,9 +317,9 @@ class TestShiftRebalance:
         for rname in s.router_names:
             unit = s.workers[rname].unit
             assert unit.grid.pm == s.pm
-            assert unit.summaries.uview == {}
-            assert unit.summaries.expected_epoch[1] == 1
-            assert unit.summaries.should_forward(1, frozenset(["alpha"]))
+            assert unit.uview == {}
+            assert unit.expected_epoch[1] == 1
+            assert unit.should_forward_object(frozenset(["alpha"]), 1)
         e0, e1 = s.workers["e0"], s.workers["e1"]
         assert e0.state.bounds == (0, 0, 2, 7)
         assert e1.state.bounds == (3, 0, 7, 7)
@@ -391,8 +408,7 @@ class TestMidTransferForwarding:
         assert set(e1.state.registry) == {1, 2, 3}
         assert set(e0.state.registry) == {1}
         for rname in s.router_names:
-            summaries = s.workers[rname].unit.summaries
-            assert summaries.should_forward(1, frozenset(["beta"]))
+            assert s.workers[rname].unit.should_forward_object(frozenset(["beta"]), 1)
 
         n0 = len(s.results)
         s.ingest_object(mk_o(910, (3, 0), ["beta"], 300))
@@ -430,9 +446,9 @@ class TestAbortedRebalance:
         coord = s.workers["r0"]
         assert coord.op is None and coord.op_stage == "idle"
         for rname in s.router_names:
-            summaries = s.workers[rname].unit.summaries
-            assert summaries.uview == {}
-            assert summaries.expected_epoch.get(1, 0) == 0
+            unit = s.workers[rname].unit
+            assert unit.uview == {}
+            assert unit.expected_epoch.get(1, 0) == 0
 
         n0 = len(s.results)
         s.ingest_object(mk_o(500, (0, 0), ["alpha"], 100))
@@ -571,18 +587,18 @@ class TestSplitMerge:
         assert e3.epoch == 1 and e1.epoch == 1
 
         for rname in s.router_names:
-            summaries = s.workers[rname].unit.summaries
-            assert s.workers[rname].unit.grid.pm == s.pm
-            assert summaries.uview == {}
-            assert summaries.expected_epoch[3] == 1
-            assert summaries.expected_epoch[1] == 1
+            unit = s.workers[rname].unit
+            assert unit.grid.pm == s.pm
+            assert unit.uview == {}
+            assert unit.expected_epoch[3] == 1
+            assert unit.expected_epoch[1] == 1
             # the retired partition's summary state is gone for good
-            assert 2 not in summaries.base
-            assert 2 not in summaries.regs
-            assert 2 not in summaries.kw_count
-            assert summaries.should_forward(3, frozenset(["alpha"]))
-            assert summaries.should_forward(1, frozenset(["beta"]))
-            assert summaries.should_forward(1, frozenset(["gamma"]))
+            assert 2 not in unit.base
+            assert 2 not in unit.regs
+            assert 2 not in unit.kw_count
+            assert unit.should_forward_object(frozenset(["alpha"]), 3)
+            assert unit.should_forward_object(frozenset(["beta"]), 1)
+            assert unit.should_forward_object(frozenset(["gamma"]), 1)
 
     def test_matching_is_exact_after_split_merge(self):
         s = self.build()
@@ -800,7 +816,7 @@ class TestManyInterleavings:
         for pid in s.pm:
             ev = s.workers[f"e{pid}"].state.summary_set()
             for rname in s.router_names:
-                have = s.workers[rname].unit.summaries.effective_set(pid)
+                have = s.workers[rname].unit.effective_set(pid)
                 assert ev <= have, f"router {rname} under-reports pid {pid}"
 
     def test_same_seed_is_bit_for_bit_deterministic(self):
@@ -824,10 +840,10 @@ class TestManyInterleavings:
 # bounded state over a long adaptive run
 
 
-def pending_contributions(summaries, pid):
+def pending_contributions(unit, pid):
     """Keyword counts of a router's pending entries for `pid`."""
     want: dict[str, int] = {}
-    for entries in summaries.regs.get(pid, {}).values():
+    for entries in unit.regs.get(pid, {}).values():
         for kws in entries.values():
             for kw in kws:
                 want[kw] = want.get(kw, 0) + 1
@@ -878,7 +894,7 @@ def run_soak(clean_interval, after_drain=None, before=None):
 
 
 def pending_entries(unit, pid):
-    return sum(len(e) for e in unit.summaries.regs.get(pid, {}).values())
+    return sum(len(e) for e in unit.regs.get(pid, {}).values())
 
 
 class TestBoundedState:
@@ -887,16 +903,16 @@ class TestBoundedState:
             assert s._inflight == {}, f"phase {phase}"
             assert not s._ingested
             for rname in s.router_names:
-                summaries = s.workers[rname].unit.summaries
-                for pid in set(summaries.kw_count) | set(summaries.regs):
-                    assert (summaries.kw_count.get(pid, {})
-                            == pending_contributions(summaries, pid)), (phase, rname, pid)
+                unit = s.workers[rname].unit
+                for pid in set(unit.kw_count) | set(unit.regs):
+                    assert (unit.kw_count.get(pid, {})
+                            == pending_contributions(unit, pid)), (phase, rname, pid)
 
         s = run_soak(clean_interval=4, after_drain=check)
         assert s.counters["rebalance_count"] >= 3
         # refreshes did prune: far fewer entries are pending than were registered
         unit = s.workers["r0"].unit
-        pending = sum(pending_entries(unit, pid) for pid in unit.summaries.regs)
+        pending = sum(pending_entries(unit, pid) for pid in unit.regs)
         registered = sum(sum(s.workers[r].unit.reg_seq.values()) for r in s.router_names)
         assert pending < registered // 2
 
