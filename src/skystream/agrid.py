@@ -424,7 +424,7 @@ class RoutingUnit:
         self.kw_count: dict[int, dict[str, int]] = {}
         self.expected_epoch: dict[int, int] = {}
         self.uview: dict[int, int] = {}  # premerged dst -> src
-        self.retired: set[int] = set()  # pids the last map update removed
+        self.retired: set[int] = set()  # pids a map update removed and none restored
 
     @property
     def origin(self) -> tuple:
@@ -439,6 +439,7 @@ class RoutingUnit:
         return grid.owner_of(cell), cell
 
     def should_forward_object(self, o_text: frozenset[str], pid: int) -> bool:
+        """Whether an object with keywords `o_text` could match a query at `pid`."""
         uview = self.uview
         pids = (pid, uview[pid]) if pid in uview else (pid,)
         for p in pids:
