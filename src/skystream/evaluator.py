@@ -109,9 +109,9 @@ class CellIndex:
 
 @dataclass
 class CellBatch:
-    """Wire form of a migrating region: whole cell indexes plus query records.
+    """A migrated region as `absorb_cells` takes it: whole cell indexes plus query records.
 
-    Each cell travels as its `CellIndex`, inverted lists included, and the
+    Each cell comes as its `CellIndex`, inverted lists included, and the
     absorbing evaluator adopts it as it is: no list is rebuilt query by
     query. `records` holds every query any of the cells index.
     """
@@ -161,7 +161,6 @@ class EvaluatorStats:
     pid: int
     overall_cost: int
     query_copies: int
-    query_count: int
     best_split: SplitChoice | None
     strips: tuple[ShiftCandidate, ...]
     corners: tuple[ShiftCandidate, ...]
@@ -487,7 +486,6 @@ class EvaluatorState:
             pid=self.pid,
             overall_cost=self.overall_cost,
             query_copies=self.overall_q,
-            query_count=self.query_count,
             best_split=split,
             strips=strips,
             corners=corners,

@@ -29,6 +29,10 @@ The last hand-off ordering matters: if src could publish a refresh before
 every router had seen dst's, a router could prune the keywords of a migrated
 query while still relying on src's summary to cover dst.
 
+The coordinator advances an op when every ack it awaits has arrived (absorbed
+and extracted per transfer, then pm_ack per router, then refresh_ack per
+router and destination); any other ack is a ProtocolViolation.
+
 Objects move in batches: what was ingested since the last delivery goes to
 each router as one DATA_OBJECT, and a router sends each evaluator one
 DATA_OBJECT of (object, cell) pairs. Workers still act object by object,
@@ -130,16 +134,13 @@ class TransientState:
     extracted: bool = False
 
 
-@dataclass
-class StagingState:
-    """Destination-side buffer until the whole region has arrived."""
+@dataclass(kw_only=True)
+class StagingState(CellBatch):
+    """Destination-side buffer until the whole region has arrived; absorbed as it is."""
 
     op_id: int
     tid: int
-    region: CellRect
-    cells: list = field(default_factory=list)  # (coord, CellIndex snapshot)
-    records: dict = field(default_factory=dict)
-    queries: list = field(default_factory=list)
+    queries: dict[int, ContinuousQuery] = field(default_factory=dict)  # by qid, in arrival order
 
 
 # -- scheduling ------------------------------------------------------------------
@@ -239,10 +240,8 @@ class RouterWorker:
         # coordinator state, used on replica 0 only
         self.op: RebalanceOp | None = None
         self.op_id = 0
-        self.op_stage = "idle"
-        self.op_transfers: dict[int, dict] = {}
-        self.pm_acks: set[str] = set()
-        self.refresh_acks: set[tuple] = set()
+        self.transfers: list[tuple[int, int, CellRect]] = []  # (src, dst, region) by tid
+        self.awaiting: set[tuple] = set()  # acks the op's current step still needs
         self.round_id = 0
         self.round_open = False
         self.round_generation = 0
@@ -322,22 +321,27 @@ class RouterWorker:
 
     def route_query(self, q: ContinuousQuery) -> None:
         sys = self.sys
-        decision = self.unit.register_query(q)
+        if not self.use_summaries:
+            # no refresh would ever prune a summary entry, so keep none
+            for pid in self.unit.grid.neighbor_search(q.mbr):
+                sys.send(self.name, f"e{pid}", MsgKind.QUERY, query=q, origin=None, seq=0)
+            return
         origin = self.unit.origin
-        for pid, seq, kws in decision.entries:
+        for pid, seq, kws in self.unit.register_query(q).entries:
             sys.send(self.name, f"e{pid}", MsgKind.QUERY,
                      query=q, origin=origin, seq=seq)
-            if self.use_summaries:
-                for other in sys.router_names:
-                    if other != self.name:
-                        sys.send(self.name, other, MsgKind.KEYWORD_FORWARD,
-                                 origin=origin, pid=pid, seq=seq, kws=kws)
+            for other in sys.router_names:
+                if other != self.name:
+                    sys.send(self.name, other, MsgKind.KEYWORD_FORWARD,
+                             origin=origin, pid=pid, seq=seq, kws=kws)
 
     # -- summary and map maintenance -------------------------------------------------
 
     def apply_refresh(self, p: dict) -> None:
-        self.unit.apply_refresh(p["pid"], p["kws"], p["vector"], p["epoch"])
-        if p.get("flush_of") is not None:
+        installed = self.unit.apply_refresh(p["pid"], p["kws"], p["vector"], p["epoch"])
+        if p["flush_of"] is not None:
+            if not installed:  # an ack must mean the destination's summary is in place
+                raise ProtocolViolation(f"{self.name} discarded e{p['pid']}'s flush as stale")
             self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
                           verb="refresh_ack", op_id=p["flush_of"], pid=p["pid"],
                           router=self.name)
@@ -376,7 +380,7 @@ class RouterWorker:
             self.round_pids, self.round_reports, self.round_window)
         # reports name regions of the map they were taken under, so an op
         # that finished while the round was open voids this round's decision
-        if (self.sys.cfg.adaptive and self.op is None and self.sys.spare is not None
+        if (self.sys.cfg.adaptive and self.op is None
                 and self.round_generation == self.sys.generation):
             snap = WorkloadSnapshot(
                 dict(self.sys.pm),
@@ -393,25 +397,22 @@ class RouterWorker:
         sys = self.sys
         self.op = op
         self.op_id += 1
-        self.op_stage = "transfer"
-        self.pm_acks = set()
-        self.refresh_acks = set()
-        moves = [(op.src, op.dst, op.region)]
+        self.transfers = [(op.src, op.dst, op.region)]
         if op.kind is OpKind.SPLIT_MERGE:
             x0, y0, x1, y1 = sys.pm[op.src]
             s = op.split
             region_x2 = (x0, s.cut + 1, x1, y1) if s.axis == "h" else (s.cut + 1, y0, x1, y1)
-            moves = [(op.src, op.dst, region_x2),
-                     (op.merge_move, op.merge_keep, sys.pm[op.merge_move])]
-        self.op_transfers = {tid: {"src": src, "dst": dst, "region": region, "extracted": False}
-                             for tid, (src, dst, region) in enumerate(moves)}
-        for t in self.op_transfers.values():
+            self.transfers = [(op.src, op.dst, region_x2),
+                              (op.merge_move, op.merge_keep, sys.pm[op.merge_move])]
+        self.awaiting = {(verb, self.op_id, tid) for tid in range(len(self.transfers))
+                         for verb in ("absorbed", "extracted")}
+        for src, dst, _ in self.transfers:
             self.broadcast_routers(MsgKind.REBALANCE_COMMAND,
-                                   verb="premerge", dst=t["dst"], src=t["src"])
-        for tid, t in self.op_transfers.items():
-            sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
+                                   verb="premerge", dst=dst, src=src)
+        for tid, (src, dst, region) in enumerate(self.transfers):
+            sys.send(self.name, f"e{src}", MsgKind.REBALANCE_COMMAND,
                      verb="begin_transfer", op_id=self.op_id, tid=tid,
-                     region=t["region"], dst=t["dst"])
+                     region=region, dst=dst)
 
     def broadcast_routers(self, kind: MsgKind, **payload) -> None:
         for rname in self.sys.router_names:
@@ -422,64 +423,66 @@ class RouterWorker:
         if verb == "premerge":
             self.unit.premerge(p["dst"], p["src"])
             return
-        if self.index != 0:
-            raise ProtocolViolation(f"non-coordinator {self.name} got {verb!r}")
-        if verb == "absorbed":
-            t = self.op_transfers[p["tid"]]
-            self.sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
-                          verb="extract_now", op_id=p["op_id"], tid=p["tid"])
-        elif verb == "extracted":
-            self.op_transfers[p["tid"]]["extracted"] = True
-            if all(t["extracted"] for t in self.op_transfers.values()):
-                self.publish_partition_update()
+        # only the coordinator ever awaits an ack, so take_ack refuses one anywhere else
+        if verb in ("absorbed", "extracted"):
+            self.take_ack((verb, p["op_id"], p["tid"]))
         elif verb == "pm_ack":
-            if self.op_stage != "updating" or p["generation"] != self.sys.generation:
-                return
-            self.pm_acks.add(p["router"])
-            if self.pm_acks >= set(self.sys.router_names):
-                self.op_stage = "flushing"
-                for t in self.op_transfers.values():
-                    self.sys.send(self.name, f"e{t['dst']}", MsgKind.REBALANCE_COMMAND,
-                                  verb="flush_summary", op_id=self.op_id)
+            self.take_ack((verb, p["generation"], p["router"]))
         elif verb == "refresh_ack":
-            if self.op_stage != "flushing" or p["op_id"] != self.op_id:
-                return
-            self.refresh_acks.add((p["router"], p["pid"]))
-            want = {(r, t["dst"]) for r in self.sys.router_names
-                    for t in self.op_transfers.values()}
-            if self.refresh_acks >= want:
-                self.finish_op()
+            self.take_ack((verb, p["op_id"], p["router"], p["pid"]))
         else:
             raise ProtocolViolation(f"unknown command verb {verb!r}")
+
+    def take_ack(self, ack: tuple) -> None:
+        """Strike `ack` off the awaited set; the step's last ack starts the next step."""
+        if ack not in self.awaiting:
+            raise ProtocolViolation(f"{self.name} does not await {ack}")
+        self.awaiting.remove(ack)
+        verb = ack[0]
+        if verb == "absorbed":
+            tid = ack[2]
+            self.sys.send(self.name, f"e{self.transfers[tid][0]}", MsgKind.REBALANCE_COMMAND,
+                          verb="extract_now", op_id=self.op_id, tid=tid)
+        if self.awaiting:
+            return
+        if verb == "extracted":
+            self.publish_partition_update()
+        elif verb == "pm_ack":  # every router has the map: each destination flushes
+            self.awaiting = {("refresh_ack", self.op_id, r, dst) for r in self.sys.router_names
+                             for _, dst, _ in self.transfers}
+            for _, dst, _ in self.transfers:
+                self.sys.send(self.name, f"e{dst}", MsgKind.REBALANCE_COMMAND,
+                              verb="flush_summary", op_id=self.op_id)
+        else:
+            self.finish_op()
 
     def publish_partition_update(self) -> None:
         sys = self.sys
         pm = dict(sys.pm)
-        for t in self.op_transfers.values():
-            remainder = strip_remainder(pm[t["src"]], t["region"])
+        for src, dst, region in self.transfers:
+            remainder = strip_remainder(pm[src], region)
             if remainder is None:
-                del pm[t["src"]]
+                del pm[src]
             else:
-                pm[t["src"]] = remainder
-            if t["dst"] in pm:
-                pm[t["dst"]] = union_rect(pm[t["dst"]], t["region"])
+                pm[src] = remainder
+            if dst in pm:
+                pm[dst] = union_rect(pm[dst], region)
             else:
-                pm[t["dst"]] = t["region"]
+                pm[dst] = region
         sys.pm = pm
         sys.generation += 1
         if self.op.kind is OpKind.SPLIT_MERGE:
             sys.spare = self.op.merge_move
-        self.op_stage = "updating"
+        self.awaiting = {("pm_ack", sys.generation, r) for r in sys.router_names}
         self.broadcast_routers(MsgKind.PARTITION_UPDATE,
                                pm=dict(pm), generation=sys.generation)
 
     def finish_op(self) -> None:
-        for t in self.op_transfers.values():
-            self.sys.send(self.name, f"e{t['src']}", MsgKind.REBALANCE_COMMAND,
+        for src, _, _ in self.transfers:
+            self.sys.send(self.name, f"e{src}", MsgKind.REBALANCE_COMMAND,
                           verb="op_done", op_id=self.op_id)
         self.op = None
-        self.op_stage = "idle"
-        self.op_transfers = {}
+        self.transfers = []
         self.sys.counters["rebalance_count"] += 1
 
 
@@ -596,8 +599,7 @@ class EvaluatorWorker:
         stg = self.staging
         if stg is not None and rect_intersect(crange, stg.region) is not None:
             # incoming-region cells are still staged; register after absorbing
-            if all(sq.qid != q.qid for sq in stg.queries):
-                stg.queries.append(q)
+            stg.queries.setdefault(q.qid, q)
         if self.state.register_query(q, crange):
             self.broadcast_own_registration(q)
         chase = None if cells is None else frozenset(cells)
@@ -680,7 +682,7 @@ class EvaluatorWorker:
             if self.staging is not None:
                 raise ProtocolViolation(f"{self.name} is already staging a region")
             self.epoch += 1
-            self.staging = StagingState(p["op_id"], p["tid"], p["region"])
+            self.staging = StagingState(p["region"], [], {}, op_id=p["op_id"], tid=p["tid"])
         elif verb == "cells_done":
             self.finish_staging()
         elif verb == "extract_now":
@@ -747,11 +749,10 @@ class EvaluatorWorker:
         stg = self.staging
         if stg is None:
             raise ProtocolViolation(f"{self.name} got cells_done while not staging")
-        batch = CellBatch(region=stg.region, cells=stg.cells, records=stg.records)
-        self.state.absorb_cells(batch)
+        self.state.absorb_cells(stg)
         self.staging = None
         region_cells = frozenset(iter_region(stg.region))
-        for q in stg.queries:
+        for q in stg.queries.values():
             crange = self.state.geom.cell_range(q.mbr)
             if self.state.register_query(q, crange):
                 self.broadcast_own_registration(q)

@@ -71,12 +71,11 @@ class TestCostFormulas:
             assert select_rebalance_op(snap, beta=0.0, spare=None) is None
 
 
-def make_stats(pid, cost, copies, count=None, split=None, strips=(), corners=()):
+def make_stats(pid, cost, copies, split=None, strips=(), corners=()):
     return EvaluatorStats(
         pid=pid,
         overall_cost=cost,
         query_copies=copies,
-        query_count=count if count is not None else copies,
         best_split=split,
         strips=tuple(strips),
         corners=tuple(corners),

@@ -331,7 +331,7 @@ class TestShiftRebalance:
         assert e1.epoch == 1
         assert e0.transient is None and e1.staging is None
         coord = s.workers["r0"]
-        assert coord.op is None and coord.op_stage == "idle"
+        assert coord.op is None and not coord.awaiting
 
         assert len(s.decisions) == 1
         row = s.decisions[0]
@@ -444,7 +444,7 @@ class TestAbortedRebalance:
         assert s.pm == {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}
         assert s.workers["e0"].transient is None
         coord = s.workers["r0"]
-        assert coord.op is None and coord.op_stage == "idle"
+        assert coord.op is None and not coord.awaiting
         for rname in s.router_names:
             unit = s.workers[rname].unit
             assert unit.uview == {}
@@ -454,6 +454,46 @@ class TestAbortedRebalance:
         s.ingest_object(mk_o(500, (0, 0), ["alpha"], 100))
         s.drain()
         assert [tuple(r) for r in s.results[n0:]] == [(1, 500, 100)]
+
+
+class TestProtocolViolation:
+    """Messages no step of the protocol awaits are refused, not dropped."""
+
+    def test_duplicate_pm_ack_after_the_op_raises(self):
+        s = shift_fixture()
+        s.trigger_stats()
+        s.drain()
+        assert s.counters["rebalance_count"] == 1
+        s.send("r1", "r0", MsgKind.REBALANCE_COMMAND,
+               verb="pm_ack", generation=s.generation, router="r1")
+        with pytest.raises(ProtocolViolation):
+            s.drain()
+
+    def test_extracted_while_no_op_runs_raises(self):
+        s = shift_fixture()
+        assert s.workers["r0"].op is None
+        s.send("e0", "r0", MsgKind.REBALANCE_COMMAND, verb="extracted", op_id=1, tid=0)
+        with pytest.raises(ProtocolViolation):
+            s.drain()
+
+    def test_stale_flush_refresh_raises_instead_of_acking(self):
+        s = shift_fixture()
+        s.trigger_stats()
+        s.drain()
+        assert s.workers["r1"].unit.expected_epoch[1] == 1
+        s.send("e1", "r1", MsgKind.SUMMARY_REFRESH, pid=1, kws=frozenset(),
+               vector={}, epoch=0, flush_of=s.workers["r0"].op_id)
+        with pytest.raises(ProtocolViolation):
+            s.drain()
+
+    def test_repeated_registration_seq_raises(self):
+        s = shift_fixture()
+        e0 = s.workers["e0"]
+        [(origin, seq)] = [(o, q) for o, q in e0.reg_seen.items() if o[0] == "r"]
+        s.send(f"r{origin[1]}", "e0", MsgKind.QUERY,
+               query=mk_q(2, (0, 0, 1, 1), ["beta"]), origin=origin, seq=seq)
+        with pytest.raises(ProtocolViolation):
+            s.drain()
 
 
 class TestBatchAcrossAMigration:
@@ -1154,6 +1194,15 @@ class TestOtherModes:
         assert s.counters["dropped_by_summary"] == 0
         assert s.counters["forwarded_objects"] == len(objects)
         assert s.workers["r0"].use_summaries is False
+
+    def test_uniform_routers_keep_no_summary_entries(self):
+        # no refresh ever prunes an entry in uniform mode, so none is made
+        queries, objects = build_workload()
+        s = run_interleaved(queries, objects, 3, mode="uniform", adaptive=False,
+                            stats_cadence=BIG, clean_interval=16)
+        for rname in s.router_names:
+            unit = s.workers[rname].unit
+            assert unit.regs == {} and unit.kw_count == {}
 
     def test_textual_mode_matches_oracle(self):
         queries, objects = build_workload(keyword_only=True)
