@@ -5,14 +5,15 @@ objects concentrated in one corner, then prints the row and column cost
 profiles the evaluator maintains as it works. Those aggregates are the
 whole input to find_best_split, so the chosen gridline cut can be read
 straight off the printed profile. Finishes by actually performing the
-move: extract the expensive strip into a batch, absorb it into a second
-evaluator, and show both cost totals afterwards.
+move, the way a transfer does: snapshot the expensive strip's cells into a
+batch, extract the strip, absorb the batch into a second evaluator, and
+show both cost totals afterwards.
 """
 
 import random
 
 from skystream.agrid import GridGeometry
-from skystream.evaluator import EvaluatorState
+from skystream.evaluator import CellBatch, EvaluatorState, iter_region
 from skystream.model import ContinuousQuery, Point, Predicate, SpatialKeywordObject
 from skystream.workload import square_mbr
 
@@ -58,11 +59,11 @@ def main():
         strip = (0, 0, 7, choice.cut)
     else:
         strip = (0, 0, choice.cut, 7)
-    batch = ev.extract_cells(strip)
+    cells = [(c, ev.cells[c].copy()) for c in iter_region(strip) if c in ev.cells]
+    records = {qid: ev.registry[qid] for _, cell in cells for qid in cell.qids}
+    ev.extract_cells(strip)
     peer = EvaluatorState(1, geom, None)
-    peer.absorb_cells(batch)
-    for q in batch.records.values():
-        peer.register_query(q)
+    peer.absorb_cells(CellBatch(strip, cells, records))
     print(f"\nafter moving strip {strip}:")
     print(f"  evaluator 0 bounds {ev.bounds}, cost {ev.overall_cost}")
     print(f"  evaluator 1 bounds {peer.bounds}, cost {peer.overall_cost}")

@@ -1,8 +1,9 @@
 """Router-side keyword summaries as an admission gate.
 
-Routers keep a per-partition union of the keywords standing queries
-there could match. An incoming object whose tokens miss every summary
-is dropped at the router and never crosses the network. This demo
+Routers keep, per partition and per block of grid cells, the union of
+the keywords standing queries there could match. An incoming object
+whose tokens miss its cell's block summary is dropped at the router and
+never crosses the network. This demo
 sweeps query selectivity: at percentile 1.0 queries use the most common
 words (summaries admit nearly everything), at 0.0 they use words no
 object ever carries (everything is dropped at the router).

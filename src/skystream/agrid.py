@@ -1,5 +1,5 @@
 """Augmented grid routing: a fine cell grid whose cells are tagged with the
-id of the partition covering them, plus per-partition textual summaries.
+id of the partition covering them, plus per-block textual summaries.
 
 Cell coordinates are (x, y) with x growing rightward and y growing upward,
 so a range's "top-left" cell is (min x, max y). Partitions are rectangles of
@@ -19,7 +19,6 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import ceil, floor
-from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +34,9 @@ __all__ = [
     "WORLD",
     "GridGeometry",
     "AGrid",
+    "SUMMARY_BLOCK",
+    "summary_block",
+    "block_cells",
     "summary_contribution",
     "RoutingUnit",
     "full_edge_neighbors",
@@ -51,6 +53,10 @@ CellRect = tuple[int, int, int, int]
 # Sentinel summary keyword meaning "forward every object" (needed for INSIDE
 # queries, which no textual filter can represent). Outside normal token space.
 ANY_KEYWORD = "\x00any"
+
+# Side, in grid cells, of the square blocks router summaries are kept per:
+# each partition's summary is one keyword set per block its cells fall in.
+SUMMARY_BLOCK = 4
 
 # The space every grid covers; objects and query ranges outside it are
 # rejected or clipped.
@@ -370,6 +376,17 @@ def load_partitioning(text: str) -> AGrid:
 # -- textual summaries -------------------------------------------------------
 
 
+def summary_block(cell: tuple[int, int]) -> tuple[int, int]:
+    """The summary block holding `cell`; routers and evaluators both key by it."""
+    return (cell[0] // SUMMARY_BLOCK, cell[1] // SUMMARY_BLOCK)
+
+
+def block_cells(block: tuple[int, int]) -> CellRect:
+    """The cells of a summary block (possibly reaching past the grid's edge)."""
+    x0, y0 = block[0] * SUMMARY_BLOCK, block[1] * SUMMARY_BLOCK
+    return (x0, y0, x0 + SUMMARY_BLOCK - 1, y0 + SUMMARY_BLOCK - 1)
+
+
 def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
     """Keywords a query adds to its partitions' summaries.
 
@@ -386,6 +403,10 @@ def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
     return frozenset((min(q.text),))
 
 
+# The block sets of a partition no refresh has reached; never written.
+_NO_BLOCKS: dict[tuple[int, int], frozenset[str]] = {}
+
+
 @dataclass
 class RoutingDecision:
     """Outcome of registering one query at a routing unit."""
@@ -395,18 +416,23 @@ class RoutingDecision:
 
 
 class RoutingUnit:
-    """One routing replica: the grid plus per-partition keyword summaries.
+    """One routing replica: the grid plus per-block keyword summaries.
 
-    A summary must never under-report: every keyword some live query at the
-    partition depends on has to be present, or objects get dropped and
-    matches silently lost. Refreshes from the evaluator's cleaning cycle
-    replace the base set, so every registration is also held as a pending
-    entry until a refresh's per-origin watermark proves the evaluator
-    incorporated it. Refreshes from a transfer destination are ignored until
-    their epoch shows the absorbed cells (see runtime), and from premerge
-    until then the destination's summary unions the source's. A partition
-    that a map update retired keeps its sets while such a union view reads
-    them, and loses them when the view ends.
+    A partition's summary is one keyword set per summary block
+    (`summary_block`) holding some of its cells: an object is forwarded only
+    if its keywords meet the set of the block its cell lies in. A summary
+    must never under-report: every keyword some live query attached in the
+    block depends on has to be present, or objects get dropped and matches
+    silently lost. Refreshes from the evaluator's cleaning cycle replace the
+    partition's block sets, so every registration is also held as a pending
+    entry, per partition rather than per block, until a refresh's
+    per-origin watermark proves the evaluator incorporated it; the gate
+    forwards on a keyword that either the block's set or the partition's
+    pending entries hold. Refreshes from a transfer destination are ignored
+    until their epoch shows the absorbed cells (see runtime), and from
+    premerge until then the destination's summary unions the source's,
+    block by block. A partition that a map update retired keeps its sets
+    while such a union view reads them, and loses them when the view ends.
 
     Transport-free; the runtime wraps this with channels. Replicas converge
     because they all apply the same registrations (their own plus forwarded
@@ -417,7 +443,8 @@ class RoutingUnit:
         self.unit_id = unit_id
         self.grid = grid
         self.reg_seq: dict[int, int] = {}  # pid -> queries this unit sent there
-        self.base: dict[int, set[str]] = {}
+        # pid -> block -> keywords, as the partition's last refresh carried them
+        self.base: dict[int, dict[tuple[int, int], frozenset[str]]] = {}
         # pid -> origin -> OrderedDict(seq -> contribution)
         self.regs: dict[int, dict[tuple, OrderedDict]] = {}
         # pid -> keyword -> pending entries contributing it; positive counts only
@@ -438,18 +465,24 @@ class RoutingUnit:
         cell = grid.cell_of(loc)
         return grid.owner_of(cell), cell
 
-    def should_forward_object(self, o_text: frozenset[str], pid: int) -> bool:
-        """Whether an object with keywords `o_text` could match a query at `pid`."""
-        uview = self.uview
-        pids = (pid, uview[pid]) if pid in uview else (pid,)
-        for p in pids:
-            base = self.base.get(p, ())
+    def should_forward_object(self, o_text: frozenset[str], pid: int,
+                              cell: tuple[int, int]) -> bool:
+        """Whether an object with keywords `o_text` in `cell` could match a query at `pid`.
+
+        Reads `pid`'s set for the cell's block and its pending entries, then,
+        under a premerge union view, the source partition's.
+        """
+        block = summary_block(cell)
+        p = pid
+        while p is not None:
+            base = self.base.get(p, _NO_BLOCKS).get(block, ())
             counts = self.kw_count.get(p, ())
             if ANY_KEYWORD in base or ANY_KEYWORD in counts:
                 return True
             for kw in o_text:
                 if kw in base or kw in counts:
                     return True
+            p = self.uview.get(pid) if p == pid else None
         return False
 
     def register_query(self, q: ContinuousQuery) -> RoutingDecision:
@@ -485,12 +518,14 @@ class RoutingUnit:
         for kw in kws:
             counts[kw] = counts.get(kw, 0) + 1
 
-    def apply_refresh(self, pid: int, kws: Iterable[str], vector: dict[tuple, int], epoch: int) -> bool:
-        """Install a rebuilt summary; False when a stale epoch discards it."""
+    def apply_refresh(self, pid: int, blocks: dict[tuple[int, int], frozenset[str]],
+                      vector: dict[tuple, int], epoch: int) -> bool:
+        """Install a rebuilt summary, block -> keywords, kept as it is (the
+        sender never changes it); False when a stale epoch discards it."""
         expected = self.expected_epoch.get(pid, 0)
         if epoch < expected:
             return False
-        self.base[pid] = set(kws)
+        self.base[pid] = blocks
         counts = self.kw_count.get(pid)
         for origin, entries in self.regs.get(pid, {}).items():
             seen = vector.get(origin, -1)
@@ -524,11 +559,16 @@ class RoutingUnit:
         self.kw_count.pop(pid, None)
         self.uview.pop(pid, None)
 
-    def effective_set(self, pid: int) -> frozenset[str]:
-        out: set[str] = set(self.base.get(pid, ()))
-        out.update(self.kw_count.get(pid, ()))
+    def effective_set(self, pid: int, block: tuple[int, int] | None = None) -> frozenset[str]:
+        """Keywords the gate forwards on at `pid` in `block`, or in any block when None."""
+        out: set[str] = set(self.kw_count.get(pid, ()))
+        blocks = self.base.get(pid, {})
+        if block is None:
+            out.update(*blocks.values())
+        else:
+            out.update(blocks.get(block, ()))
         if pid in self.uview:
-            out |= self.effective_set(self.uview[pid])
+            out |= self.effective_set(self.uview[pid], block)
         return frozenset(out)
 
     def apply_partition_update(self, pm: dict[int, CellRect], generation: int) -> None:

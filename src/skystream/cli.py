@@ -69,7 +69,8 @@ MODES = {
 }
 
 METRICS_FIELDS = ("tick", "alpha", "totalCost", "forwardedObjects",
-                  "droppedBySummary", "peakChannelDepth", "rebalanceCount")
+                  "droppedBySummary", "peakChannelDepth", "rebalanceCount",
+                  "forwardedNoCandidate")
 DECISIONS_FIELDS = ("tick", "opKind", "pids", "Cr", "Ct", "alphaBefore")
 
 INGEST_CHUNK = 1000          # events between drains while streaming; bounds the object batches

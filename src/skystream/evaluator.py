@@ -9,12 +9,13 @@ indexes and their share of every aggregate, once per cell, and the books
 still balance on both sides. A migrating cell's inverted lists travel as
 they are and are never rebuilt query by query.
 
-Summary keyword refcounts are counted per registered query instead: a query
-adds its contribution once when it enters the registry (its first attached
-cell) and takes it away once when it leaves (its last cell detached, by
-eviction or extraction). A migrated query is registered on each side that
-holds one of its cells, so each side counts it exactly while it can match
-there, and the summary set is the same as a per-cell count would give.
+The router summary is kept per summary block (`summary_block`): a block's
+keyword set is the union of `summary_contribution` over the queries attached
+to the owned cells in that block. Each block's set is cached, and a refresh
+recomputes only the blocks that an attach, detach, extract or absorb touched
+since the last one, so its cost follows what changed, not the index size.
+A migrated query counts in every block, on either side, where it holds a
+cell, so each side reports it exactly where it can match there.
 
 Cost follows the candidate-count model: processing an object in a cell adds
 the number of candidate queries its keywords pull from the cell's inverted
@@ -34,13 +35,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .agrid import (
+    ANY_KEYWORD,
     CellRect,
     GridGeometry,
+    block_cells,
     corner_shift_candidates,
     full_edge_neighbors,
     rect_cells,
     rect_contains_cell,
     rect_intersect,
+    summary_block,
     summary_contribution,
 )
 from .model import ContinuousQuery, MatchResult, Predicate, SpatialKeywordObject, matches
@@ -70,6 +74,17 @@ class UnsplittableError(ValueError):
     pass
 
 
+# A cell's `spatial_only` until its first INSIDE query: most cells never
+# hold one, and an empty set per cell is about 200 bytes.
+NO_QIDS: frozenset[int] = frozenset()
+
+NO_KEYWORDS: frozenset[str] = frozenset()
+
+# The summary of a block holding an INSIDE query: its wildcard already
+# forwards every keyword, so the block needs nothing else.
+WILDCARD = frozenset((ANY_KEYWORD,))
+
+
 class CellIndex:
     """Index content of one grid cell."""
 
@@ -79,7 +94,7 @@ class CellIndex:
         self.cost = 0
         self.qids: set[int] = set()
         self.inverted: dict[str, set[int]] = {}
-        self.spatial_only: set[int] = set()  # INSIDE queries, no keywords
+        self.spatial_only: set[int] | frozenset[int] = NO_QIDS  # INSIDE queries, no keywords
 
     def candidates(self, o_text: frozenset[str]) -> set[int]:
         """Qids the object's keywords pull from this cell, for reading only.
@@ -98,7 +113,7 @@ class CellIndex:
         return found
 
     def copy(self) -> CellIndex:
-        """A snapshot sharing no set with this cell."""
+        """A snapshot sharing no mutable set with this cell."""
         snap = CellIndex.__new__(CellIndex)
         snap.cost = self.cost
         snap.qids = self.qids.copy()
@@ -180,8 +195,10 @@ class EvaluatorState:
         self.row_q: Counter = Counter()
         self.col_q: Counter = Counter()
         self.overall_q = 0
-        # keyword -> registered queries contributing it; positive counts only
-        self.summary_counts: dict[str, int] = {}
+        # summary block -> keywords, as last returned by summary_blocks, which
+        # never changes a dict it has returned; and the blocks to recompute
+        self._blocks: dict[tuple[int, int], frozenset[str]] = {}
+        self._stale: set[tuple[int, int]] = set()
         # cleaning cursor: index into the row-major enumeration of owned cells
         self._cursor = 0
         # no registered query expires before this; lowered on registration,
@@ -234,6 +251,7 @@ class EvaluatorState:
                 added += attach(cell, coord, qid, text)
         if added:
             self._admit(record, added)
+            self._touch(region)
         return added
 
     def _attach_cell(self, cell: CellIndex, coord: tuple[int, int], qid: int,
@@ -244,7 +262,10 @@ class EvaluatorState:
             return False
         qids.add(qid)
         if text is None:
-            cell.spatial_only.add(qid)
+            inside = cell.spatial_only
+            if not inside:  # NO_QIDS, or emptied: the cell gets a set of its own
+                inside = cell.spatial_only = set()
+            inside.add(qid)
         else:
             inverted = cell.inverted
             for kw in text:
@@ -285,9 +306,6 @@ class EvaluatorState:
         self.registry[qid] = q
         if q.expiry < self._expiry_floor:
             self._expiry_floor = q.expiry
-        counts = self.summary_counts
-        for kw in summary_contribution(q):
-            counts[kw] = counts.get(kw, 0) + 1
 
     def _retire(self, qid: int, removed: int) -> None:
         """Per-query side of detaching `qid` from `removed` cells."""
@@ -297,13 +315,7 @@ class EvaluatorState:
             self.attach_count[qid] = held
             return
         del self.attach_count[qid]
-        counts = self.summary_counts
-        for kw in summary_contribution(self.registry.pop(qid)):
-            left = counts[kw] - 1
-            if left:
-                counts[kw] = left
-            else:
-                del counts[kw]
+        del self.registry[qid]
 
     # -- object evaluation ---------------------------------------------------
 
@@ -354,21 +366,25 @@ class EvaluatorState:
             cell = cells.get(coord)
             if cell is None:
                 continue
-            for qid in [qid for qid in cell.qids if registry[qid].expiry < watermark]:
-                detach(qid, cell, coord)
+            expired = [qid for qid in cell.qids if registry[qid].expiry < watermark]
+            if expired:
+                for qid in expired:
+                    detach(qid, cell, coord)
+                self._stale.add(summary_block(coord))
             if not cell.qids and not cell.cost:
                 del cells[coord]
 
-    def cleaning_step(self, watermark: int, budget: int) -> frozenset[str] | None:
+    def cleaning_step(self, watermark: int,
+                      budget: int) -> dict[tuple[int, int], frozenset[str]] | None:
         """Advance the cleaning cursor by `budget` cells.
 
         Evicts queries whose expiry precedes the watermark (the smallest
-        object timestamp that may still arrive). Returns the rebuilt summary
-        keyword set when a full cycle completes, else None.
+        object timestamp that may still arrive). Returns the rebuilt
+        per-block summary when a full cycle completes, else None.
         """
         total = self.owned_cell_count()
         if total == 0:
-            return self.summary_set()
+            return self.summary_blocks()
         end = min(self._cursor + max(1, budget), total)
         if self._expiry_floor < watermark:  # else no query can be evicted yet
             self._evict_span(self._cursor, end, watermark)
@@ -381,11 +397,55 @@ class EvaluatorState:
                 # forces every later step to scan
                 self._expiry_floor = min(
                     (q.expiry for q in self.registry.values()), default=float("inf"))
-            return self.summary_set()
+            return self.summary_blocks()
         return None
 
-    def summary_set(self) -> frozenset[str]:
-        return frozenset(k for k, c in self.summary_counts.items() if c > 0)
+    def summary_blocks(self) -> dict[tuple[int, int], frozenset[str]]:
+        """Keywords per summary block over the owned cells; blocks with none are absent.
+
+        Recomputes only the blocks touched since the last call, into a new
+        dict, so a dict once returned (and installed by routers) never changes.
+        """
+        stale = self._stale
+        if stale:
+            blocks = dict(self._blocks)
+            for block in stale:
+                kws = self._block_summary(block)
+                if kws:
+                    blocks[block] = kws
+                else:
+                    blocks.pop(block, None)
+            stale.clear()
+            self._blocks = blocks
+        return self._blocks
+
+    def _block_summary(self, block: tuple[int, int]) -> frozenset[str]:
+        """Union of `summary_contribution` over the queries attached in `block`'s owned cells."""
+        b = self.bounds
+        region = None if b is None else rect_intersect(block_cells(block), b)
+        if region is None:
+            return NO_KEYWORDS
+        x0, y0, x1, y1 = region
+        cells = self.cells
+        qids: set[int] = set()
+        for j in range(y0, y1 + 1):
+            for i in range(x0, x1 + 1):
+                cell = cells.get((i, j))
+                if cell is not None:
+                    if cell.spatial_only:
+                        return WILDCARD
+                    qids |= cell.qids
+        registry = self.registry
+        return NO_KEYWORDS.union(*[summary_contribution(registry[qid]) for qid in qids])
+
+    def _touch(self, region: CellRect) -> None:
+        """Mark every summary block `region` overlaps for recomputation."""
+        bx0, by0 = summary_block((region[0], region[1]))
+        bx1, by1 = summary_block((region[2], region[3]))
+        stale = self._stale
+        for bx in range(bx0, bx1 + 1):
+            for by in range(by0, by1 + 1):
+                stale.add((bx, by))
 
     # -- split / shift candidates ----------------------------------------------
 
@@ -493,31 +553,28 @@ class EvaluatorState:
 
     # -- cell migration -----------------------------------------------------
 
-    def extract_cells(self, region: CellRect) -> CellBatch:
-        """Remove a boundary strip (or everything) and return its cells whole.
+    def extract_cells(self, region: CellRect) -> None:
+        """Remove a boundary strip (or everything); the receiver already holds
+        the cells, as the snapshots a transfer streamed to it.
 
-        Each cell leaves with its index intact; its share of the aggregates
-        is taken away once per cell, and each query it indexes is retired
-        once for all the extracted cells that held it.
+        Each cell's share of the aggregates is taken away once per cell, and
+        each query it indexes is retired once for all the extracted cells
+        that held it.
         """
         remainder = strip_remainder(self.bounds, region)
         cells = self.cells
-        moved: list[tuple[tuple[int, int], CellIndex]] = []
         held: Counter = Counter()  # qid -> extracted cells indexing it
         for coord in iter_region(region):
             cell = cells.pop(coord, None)
             if cell is None:
                 continue
-            moved.append((coord, cell))
             self._add_cell_sums(coord, -cell.cost, -len(cell.qids))
             held.update(cell.qids)
-        registry = self.registry
-        records = {qid: registry[qid] for qid in held}
         for qid, n in held.items():
             self._retire(qid, n)
         self.bounds = remainder
+        self._touch(region)
         self._keep_cursor()
-        return CellBatch(region=region, cells=moved, records=records)
 
     def absorb_cells(self, batch: CellBatch) -> None:
         """Merge a migrated region into this evaluator, adopting its cells whole.
@@ -544,6 +601,7 @@ class EvaluatorState:
         for qid, n in added.items():
             self._admit(records[qid], n)
         self.bounds = new_bounds
+        self._touch(region)
         self._keep_cursor()
 
     def _add_cell_sums(self, coord: tuple[int, int], cost: int, copies: int) -> None:
@@ -562,7 +620,7 @@ class EvaluatorState:
 
         Restarting it would keep a partition that migrates more often than
         a cycle lasts from ever completing one, and so from ever refreshing
-        its summary. The refresh is built from `summary_counts`, not from
+        its summary. The refresh is built from the cells' indexes, not from
         the scan, so a cycle that spans a bounds change is still sound.
         """
         self._cursor = min(self._cursor, self.owned_cell_count())

@@ -29,6 +29,12 @@ The last hand-off ordering matters: if src could publish a refresh before
 every router had seen dst's, a router could prune the keywords of a migrated
 query while still relying on src's summary to cover dst.
 
+A summary refresh, the periodic one at the end of a cleaning cycle and the
+flush alike, carries the evaluator's keyword set per summary block
+(`agrid.summary_block`) and the registration seqs it has seen per origin;
+routers gate each object on its block's set, plus the keywords of the
+partition's registrations that no refresh has covered yet.
+
 The coordinator advances an op when every ack it awaits has arrived (absorbed
 and extracted per transfer, then pm_ack per router, then refresh_ack per
 router and destination); any other ack is a ProtocolViolation.
@@ -296,7 +302,7 @@ class RouterWorker:
         except OutOfWorldError:
             sys.counters["out_of_world"] += 1
             return None, []
-        if self.use_summaries and not self.unit.should_forward_object(o.text, pid):
+        if self.use_summaries and not self.unit.should_forward_object(o.text, pid, cell):
             sys.counters["dropped_by_summary"] += 1
             return None, []
         return cell, [f"e{pid}"]
@@ -338,7 +344,7 @@ class RouterWorker:
     # -- summary and map maintenance -------------------------------------------------
 
     def apply_refresh(self, p: dict) -> None:
-        installed = self.unit.apply_refresh(p["pid"], p["kws"], p["vector"], p["epoch"])
+        installed = self.unit.apply_refresh(p["pid"], p["blocks"], p["vector"], p["epoch"])
         if p["flush_of"] is not None:
             if not installed:  # an ack must mean the destination's summary is in place
                 raise ProtocolViolation(f"{self.name} discarded e{p['pid']}'s flush as stale")
@@ -558,6 +564,8 @@ class EvaluatorWorker:
             return
         delta = st.overall_cost - before
         self.window_cost += delta
+        if not delta:
+            sys.no_candidate_objects += 1
         sys.counters["candidates"] += self.candidate_charge(delta)
         if out:
             sys.emit(out)
@@ -697,7 +705,7 @@ class EvaluatorWorker:
         elif verb == "op_done":
             self.transient = None
         elif verb == "flush_summary":
-            self.broadcast_refresh(self.state.summary_set(), flush_of=p["op_id"])
+            self.broadcast_refresh(self.state.summary_blocks(), flush_of=p["op_id"])
         else:
             raise ProtocolViolation(f"unknown command verb {verb!r}")
 
@@ -767,14 +775,15 @@ class EvaluatorWorker:
                 or self.state.bounds is None):
             return  # mid-transfer, or owning nothing
         budget = max(1, self.state.owned_cell_count() // 32)
-        kws = self.state.cleaning_step(self.sys.watermark(), budget)
-        if kws is not None and self.sys.use_summaries:
-            self.broadcast_refresh(kws, flush_of=None)
+        blocks = self.state.cleaning_step(self.sys.watermark(), budget)
+        if blocks is not None and self.sys.use_summaries:
+            self.broadcast_refresh(blocks, flush_of=None)
 
-    def broadcast_refresh(self, kws: frozenset[str], flush_of: int | None) -> None:
+    def broadcast_refresh(self, blocks: dict[tuple[int, int], frozenset[str]],
+                          flush_of: int | None) -> None:
         payload = dict(
             pid=self.index,
-            kws=kws,
+            blocks=blocks,
             vector=dict(self.reg_seen),
             epoch=self.epoch,
             flush_of=flush_of,
@@ -848,6 +857,8 @@ class TextualEvaluator(EvaluatorWorker):
     def handle_object(self, o: SpatialKeywordObject, coord: tuple[int, int] | None) -> None:
         sys = self.sys
         cand = self.flat.candidates(o.text)
+        if not cand:
+            sys.no_candidate_objects += 1
         sys.counters["candidates"] += len(cand)
         out = []
         for qid in sorted(cand):
@@ -917,6 +928,9 @@ class System:
         self.on_match = on_match
         self.results: list[MatchResult] = []
         self.counters: Counter = Counter()
+        # objects an evaluator received and found no candidate for; kept out
+        # of `counters` so those read the same as before it was counted
+        self.no_candidate_objects = 0
         self.metrics: list[dict] = []
         self.decisions: list[dict] = []
         self.channels: dict[tuple, deque] = {}
@@ -1079,6 +1093,7 @@ class System:
             "droppedBySummary": self.counters["dropped_by_summary"],
             "peakChannelDepth": self.peak_channel_depth,
             "rebalanceCount": self.counters["rebalance_count"],
+            "forwardedNoCandidate": self.no_candidate_objects,
         })
         return alpha
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import test_balancer as balancer_tests
-from test_evaluator import full_cleaning_cycle
+from test_evaluator import full_cleaning_cycle, take_region
 from oracles import (
     SingleIndexOracle,
     cost_aggregates_from_cells,
@@ -236,10 +236,10 @@ def test_criterion_04_aggregates_survive_random_operations():
             full_cleaning_cycle(left if rng.random() < 0.5 else right, now)
         else:
             if rng.random() < 0.5 and cut >= 1:
-                right.absorb_cells(left.extract_cells((cut, 0, cut, 23)))
+                right.absorb_cells(take_region(left, (cut, 0, cut, 23)))
                 cut -= 1
             elif cut <= 21:
-                left.absorb_cells(right.extract_cells((cut + 1, 0, cut + 1, 23)))
+                left.absorb_cells(take_region(right, (cut + 1, 0, cut + 1, 23)))
                 cut += 1
         if step % 20_000 == 19_999:
             _aggregates_match(left)
@@ -280,7 +280,7 @@ def _mixed_object(rng, oid, vocab, ts):
     return SpatialKeywordObject(oid, loc, frozenset(rng.sample(vocab, rng.randint(1, 3))), ts)
 
 
-def _interleaved_run(seed: int) -> dict:
+def _interleaved_run(seed: int, policy: str) -> dict:
     rng = random.Random(90_000 + seed)
     vocab = [f"t{i:02d}" for i in range(24)]
     upfront = [_mixed_query(rng, qid, vocab) for qid in range(1, 61)]
@@ -288,7 +288,7 @@ def _interleaved_run(seed: int) -> dict:
     objects = [_mixed_object(rng, oid, vocab, oid) for oid in range(1, 201)]
 
     cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=3, beta=0.02,
-                       seed=seed, policy="random_weighted", stats_cadence=10**9,
+                       seed=seed, policy=policy, stats_cadence=10**9,
                        adaptive=True, mode="agrid", clean_interval=16)
     s = System(cfg)
     oracle = SingleIndexOracle()
@@ -345,28 +345,30 @@ def _interleaved_run(seed: int) -> dict:
 
 
 def test_criterion_05_interleavings_match_single_index_oracle():
-    t0 = time.perf_counter()
-    midop_objects = midop_queries = completed = 0
-    kinds: set[str] = set()
-    for seed in range(INTERLEAVING_SEEDS):
-        out = _interleaved_run(seed)
-        midop_objects += out["midop_objects"]
-        midop_queries += out["midop_queries"]
-        completed += out["completed"]
-        kinds |= out["kinds"]
-    elapsed = time.perf_counter() - t0
+    for policy in ("random_weighted", "round_robin"):
+        t0 = time.perf_counter()
+        midop_objects = midop_queries = completed = 0
+        kinds: set[str] = set()
+        for seed in range(INTERLEAVING_SEEDS):
+            out = _interleaved_run(seed, policy)
+            midop_objects += out["midop_objects"]
+            midop_queries += out["midop_queries"]
+            completed += out["completed"]
+            kinds |= out["kinds"]
+        elapsed = time.perf_counter() - t0
 
-    assert elapsed < INTERLEAVING_BUDGET_S
-    # the sweep must genuinely stress mid-operation traffic, both kinds of op
-    assert midop_objects >= 200
-    assert midop_queries >= 50
-    assert completed >= 100
-    assert kinds & {"shift_h", "shift_v", "shift_corner"}
-    assert "split_merge" in kinds
-    report(5, f"{INTERLEAVING_SEEDS} interleavings exact vs oracle; "
-              f"{midop_objects} objects and {midop_queries} queries injected mid-op, "
-              f"{completed} ops completed, kinds {sorted(kinds)}, "
-              f"{elapsed:.1f}s (budget {INTERLEAVING_BUDGET_S:.0f}s)")
+        assert elapsed < INTERLEAVING_BUDGET_S, policy
+        # each policy's sweep must genuinely stress mid-operation traffic,
+        # both kinds of op
+        assert midop_objects >= 200, policy
+        assert midop_queries >= 50, policy
+        assert completed >= 100, policy
+        assert kinds & {"shift_h", "shift_v", "shift_corner"}, policy
+        assert "split_merge" in kinds, policy
+        report(5, f"{policy}: {INTERLEAVING_SEEDS} interleavings exact vs oracle; "
+                  f"{midop_objects} objects and {midop_queries} queries injected mid-op, "
+                  f"{completed} ops completed, kinds {sorted(kinds)}, "
+                  f"{elapsed:.1f}s (budget {INTERLEAVING_BUDGET_S:.0f}s)")
 
 
 # -- 6: every logged rebalance decision is sound ---------------------------------------

@@ -316,46 +316,62 @@ class TestSummaryContribution:
 
 
 def summary_unit() -> RoutingUnit:
-    """A replica whose summaries are driven directly, apart from its grid."""
+    """A replica whose summaries are driven directly, apart from its grid,
+    which is one summary block (0, 0)."""
     return RoutingUnit(0, AGrid(4, 4, {0: (0, 0, 3, 3)}))
+
+
+CELL = (1, 2)  # any cell of summary_unit's grid
 
 
 class TestRouterSummaries:
     def test_entry_survives_refresh_until_watermarked(self):
         u = summary_unit()
         u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
-        assert u.should_forward_object(frozenset({"coffee"}), 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 0, CELL)
         # Refresh built before the evaluator saw the registration: keyword stays.
-        assert u.apply_refresh(0, (), {("r", 0): -1}, 0)
-        assert u.should_forward_object(frozenset({"coffee"}), 0)
+        assert u.apply_refresh(0, {}, {("r", 0): -1}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 0, CELL)
         # Refresh proving the registration was incorporated: entry pruned, and
         # the rebuilt set (empty here, say the query expired) governs.
-        u.apply_refresh(0, (), {("r", 0): 0}, 0)
-        assert not u.should_forward_object(frozenset({"coffee"}), 0)
+        u.apply_refresh(0, {}, {("r", 0): 0}, 0)
+        assert not u.should_forward_object(frozenset({"coffee"}), 0, CELL)
 
     def test_refresh_keeps_live_keywords(self):
         u = summary_unit()
         u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
-        u.apply_refresh(0, ("coffee",), {("r", 0): 0}, 0)
-        assert u.should_forward_object(frozenset({"coffee"}), 0)
-        assert not u.should_forward_object(frozenset({"tea"}), 0)
+        u.apply_refresh(0, {(0, 0): frozenset({"coffee"})}, {("r", 0): 0}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 0, CELL)
+        assert not u.should_forward_object(frozenset({"tea"}), 0, CELL)
 
     def test_epoch_gating_discards_stale_destination_refresh(self):
         u = summary_unit()
         u.premerge(dst=1, src=0)
         u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
         # Destination refresh built before it absorbed the moved cells.
-        assert not u.apply_refresh(1, (), {}, 0)
-        assert u.should_forward_object(frozenset({"coffee"}), 1)  # union view holds
+        assert not u.apply_refresh(1, {}, {}, 0)
+        assert u.should_forward_object(frozenset({"coffee"}), 1, CELL)  # union view holds
         # Post-absorb refresh (epoch 1) is accepted and ends the union view.
-        assert u.apply_refresh(1, ("coffee",), {}, 1)
+        assert u.apply_refresh(1, {(0, 0): frozenset({"coffee"})}, {}, 1)
         assert 1 not in u.uview
-        assert u.should_forward_object(frozenset({"coffee"}), 1)
+        assert u.should_forward_object(frozenset({"coffee"}), 1, CELL)
 
     def test_wildcard_forwards_everything(self):
         u = summary_unit()
         u.apply_keyword_forward(("r", 1), 2, 0, frozenset({ANY_KEYWORD}))
-        assert u.should_forward_object(frozenset({"whatever"}), 2)
+        assert u.should_forward_object(frozenset({"whatever"}), 2, CELL)
+
+    def test_gate_reads_the_block_of_the_objects_cell(self):
+        u = RoutingUnit(0, AGrid(8, 8, {0: (0, 0, 7, 7)}))  # four summary blocks
+        u.apply_refresh(0, {(0, 0): frozenset({"tea"}), (1, 1): frozenset({ANY_KEYWORD})}, {}, 0)
+        assert u.should_forward_object(frozenset({"tea"}), 0, (3, 3))
+        assert not u.should_forward_object(frozenset({"tea"}), 0, (4, 3))  # block (1, 0)
+        assert u.should_forward_object(frozenset({"rye"}), 0, (7, 7))  # the wildcard's block
+        assert u.effective_set(0, (1, 0)) == frozenset()
+        assert u.effective_set(0) == frozenset({"tea", ANY_KEYWORD})
+        # a pending registration covers the whole partition until a refresh
+        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"tea"}))
+        assert u.should_forward_object(frozenset({"tea"}), 0, (4, 3))
 
     def test_counts_hold_only_pending_contributions(self):
         u = summary_unit()
@@ -368,13 +384,13 @@ class TestRouterSummaries:
         before = u.effective_set(0)
         # the evaluator has incorporated every registration of replica 0 and
         # reports a rebuilt set that still holds all of them
-        assert u.apply_refresh(0, before - {"mocha"}, {("r", 0): 3}, 0)
+        assert u.apply_refresh(0, {(0, 0): before - {"mocha"}}, {("r", 0): 3}, 0)
         counts = u.kw_count[0]
         assert all(c > 0 for c in counts.values())
         assert counts == {"mocha": 1, "tea": 1}
         assert u.effective_set(0) == before
         # once the last pending entry is proven, nothing is left behind
-        u.apply_refresh(0, before, {("r", 0): 3, ("r", 1): 0}, 0)
+        u.apply_refresh(0, {(0, 0): before}, {("r", 0): 3, ("r", 1): 0}, 0)
         assert u.kw_count[0] == {}
         assert u.effective_set(0) == before
 
@@ -415,12 +431,12 @@ class TestRoutingUnit:
             assert a.effective_set(pid) == b.effective_set(pid)
         # A refresh stream applied to both keeps them identical.
         for unit in (a, b):
-            unit.apply_refresh(0, ("espresso", "beans"), {a.origin: 10}, 0)
+            unit.apply_refresh(0, {(0, 1): frozenset({"espresso", "beans"})}, {a.origin: 10}, 0)
         assert a.effective_set(0) == b.effective_set(0)
 
     def test_object_filtering(self):
         u = self.unit()
         q = make_query(mbr=Rect(0.0, 0.8, 0.4, 0.95), text=("espresso",))
         u.register_query(q)
-        assert u.should_forward_object(frozenset({"espresso", "milk"}), 0)
-        assert not u.should_forward_object(frozenset({"tea"}), 0)
+        assert u.should_forward_object(frozenset({"espresso", "milk"}), 0, (1, 5))
+        assert not u.should_forward_object(frozenset({"tea"}), 0, (1, 5))

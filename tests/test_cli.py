@@ -13,6 +13,8 @@ from skystream.agrid import AGrid, load_partitioning, uniform_partitioning
 from skystream import runtime
 from skystream.cli import (
     BENCH_PARTITIONS,
+    DECISIONS_FIELDS,
+    METRICS_FIELDS,
     MODES,
     RectTree,
     bench_rows,
@@ -124,9 +126,21 @@ def run_flags_in_parser() -> set[str]:
             if opt.startswith("--") and opt != "--help"}
 
 
+def csv_columns_in_readme(text: str, name: str) -> list[str]:
+    """First-column entries, in order, of the table under "`name`, one row per"."""
+    section = text.split(f"`{name}`, one row per", 1)[1].split("\n\n", 2)[1]
+    rows = [ln for ln in section.splitlines() if ln.startswith("|")]
+    return [ln.split("|")[1].strip() for ln in rows[2:]]
+
+
 class TestReadme:
     def test_run_flags_match_the_parser(self):
         assert run_flags_in_readme(README.read_text()) == run_flags_in_parser()
+
+    def test_csv_tables_list_the_columns_the_cli_writes(self):
+        text = README.read_text()
+        assert csv_columns_in_readme(text, "metrics.csv") == list(METRICS_FIELDS)
+        assert csv_columns_in_readme(text, "decisions.csv") == list(DECISIONS_FIELDS)
 
     def test_a_flag_dropped_from_one_side_is_caught(self):
         text = README.read_text()
@@ -206,7 +220,9 @@ class TestRunOutputs:
         assert metrics, "expected at least the final statistics row"
         assert list(metrics[0]) == ["tick", "alpha", "totalCost", "forwardedObjects",
                                     "droppedBySummary", "peakChannelDepth",
-                                    "rebalanceCount"]
+                                    "rebalanceCount", "forwardedNoCandidate"]
+        last = metrics[-1]
+        assert 0 < int(last["forwardedNoCandidate"]) < int(last["forwardedObjects"])
         decisions = read_rows(out / "decisions.csv")
         for row in decisions:
             assert row["opKind"] in ("shift_h", "shift_v", "shift_corner", "split_merge")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skystream.agrid import ANY_KEYWORD, GridGeometry, summary_contribution
+from skystream.agrid import ANY_KEYWORD, GridGeometry, summary_block, summary_contribution
 from skystream.evaluator import (
     CellBatch,
     CellIndex,
@@ -83,15 +83,32 @@ def check_aggregates(ev: EvaluatorState) -> None:
     assert set(seen) == set(ev.registry)
 
 
-def check_summary(ev: EvaluatorState) -> None:
-    from collections import Counter
+def blocks_from_cells(ev: EvaluatorState) -> dict:
+    """Each summary block's keywords, recomputed from every owned cell: the
+    contributions of the queries attached there, the wildcard alone where
+    one of them is INSIDE."""
+    want: dict = {}
+    for coord, cell in ev.cells.items():
+        kws = want.setdefault(summary_block(coord), set())
+        for qid in cell.qids:
+            kws |= summary_contribution(ev.registry[qid])
+    return {block: frozenset({ANY_KEYWORD}) if ANY_KEYWORD in kws else frozenset(kws)
+            for block, kws in want.items() if kws}
 
-    # one contribution per registered query, however many cells it holds
-    want: Counter = Counter()
-    for q in ev.registry.values():
-        want.update(summary_contribution(q))
-    assert ev.summary_set() == frozenset(k for k, c in want.items() if c > 0)
-    assert ev.summary_counts == dict(want)
+
+def check_summary(ev: EvaluatorState) -> None:
+    assert ev.summary_blocks() == blocks_from_cells(ev)
+
+
+def take_region(ev: EvaluatorState, region) -> CellBatch:
+    """Extract `region` from `ev` and return it as a transfer hands it over:
+    a snapshot of each of its cells with content, and the record of every
+    query they index, the way `stream_next` streams them."""
+    cells = [(c, ev.cells[c].copy()) for c in iter_region(region)
+             if c in ev.cells and (ev.cells[c].cost or ev.cells[c].qids)]
+    records = {qid: ev.registry[qid] for _, cell in cells for qid in cell.qids}
+    ev.extract_cells(region)
+    return CellBatch(region, cells, records)
 
 
 class TestRegistration:
@@ -110,9 +127,9 @@ class TestRegistration:
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         q = make_query(g, 1, 0, 0, 1, 1)
         ev.register_query(q)
-        before = (ev.overall_q, dict(ev.attach_count), dict(ev.summary_counts))
+        before = (ev.overall_q, dict(ev.attach_count), ev.summary_blocks())
         assert ev.register_query(q) == 0
-        assert (ev.overall_q, dict(ev.attach_count), dict(ev.summary_counts)) == before
+        assert (ev.overall_q, dict(ev.attach_count), ev.summary_blocks()) == before
         check_aggregates(ev)
 
     def test_disjoint_query_attaches_nothing(self):
@@ -121,7 +138,7 @@ class TestRegistration:
         q = make_query(g, 1, 6, 6, 7, 7)
         assert ev.register_query(q) == 0
         assert not ev.registry and not ev.cells
-        assert ev.overall_q == 0 and not ev.attach_count and not ev.summary_counts
+        assert ev.overall_q == 0 and not ev.attach_count and not ev.summary_blocks()
 
     def test_inside_query_skips_inverted_lists(self):
         g = GridGeometry(4, 4)
@@ -134,40 +151,39 @@ class TestRegistration:
 
 
 class TestSummaryCounts:
-    """Summary refcounts hold one contribution per registered query."""
+    """Each summary block holds the contributions of the queries attached in it."""
 
     def test_a_query_contributes_once_until_its_last_cell_leaves(self):
-        g = GridGeometry(4, 4)
+        g = GridGeometry(4, 4)  # one summary block
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         ev.register_query(make_query(g, 1, 0, 0, 3, 2, text=("tea", "mint")))  # 12 cells
         ev.register_query(make_query(g, 2, 0, 0, 0, 0, text=("tea",)))
         assert ev.attach_count[1] == 12
-        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        assert ev.summary_blocks() == {(0, 0): frozenset({"tea", "mint"})}
         ev.extract_cells((0, 2, 3, 3))  # takes 4 of query 1's cells
         assert ev.attach_count[1] == 8
-        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        assert ev.summary_blocks() == {(0, 0): frozenset({"tea", "mint"})}
         check_summary(ev)
         ev.extract_cells((1, 0, 3, 1))  # every cell of query 1 but (0, 0) and (0, 1)
         ev.extract_cells((0, 1, 0, 1))
         assert ev.attach_count == {1: 1, 2: 1}
-        assert ev.summary_counts == {"tea": 2, "mint": 1}
+        assert ev.summary_blocks() == {(0, 0): frozenset({"tea", "mint"})}
         ev.extract_cells((0, 0, 0, 0))  # the last cell
-        assert not ev.registry and ev.summary_counts == {}
-        assert ev.summary_set() == frozenset()
+        assert not ev.registry and ev.summary_blocks() == {}
 
     def test_eviction_takes_the_contribution_away_once(self):
-        g = GridGeometry(4, 4)
-        ev = EvaluatorState(0, g, (0, 0, 3, 3))
-        ev.register_query(make_query(g, 1, 0, 0, 3, 3, text=("old",), expiry=5))
-        ev.register_query(make_query(g, 2, 1, 1, 2, 2, text=("old", "new"), expiry=50))
-        assert ev.summary_counts == {"old": 2, "new": 1}
-        # half a cycle evicts query 1 from half its cells: still registered
+        g = GridGeometry(8, 8)
+        ev = EvaluatorState(0, g, (0, 0, 7, 7))
+        ev.register_query(make_query(g, 1, 0, 0, 7, 1, text=("old",), expiry=5))
+        ev.register_query(make_query(g, 2, 1, 1, 2, 2, text=("new",), expiry=50))
+        before = {(0, 0): frozenset({"old", "new"}), (1, 0): frozenset({"old"})}
+        assert ev.summary_blocks() == before
+        # the first row's step evicts query 1 from half its cells: still registered
         ev.cleaning_step(watermark=10, budget=8)
         assert ev.attach_count[1] == 8
-        assert ev.summary_counts == {"old": 2, "new": 1}
-        assert ev.cleaning_step(watermark=10, budget=8) == frozenset({"old", "new"})
+        assert ev.summary_blocks() == before
+        assert ev.cleaning_step(watermark=10, budget=56) == {(0, 0): frozenset({"new"})}
         assert set(ev.registry) == {2}
-        assert ev.summary_counts == {"old": 1, "new": 1}
         check_summary(ev)
 
     def test_absorbed_query_counts_once_on_each_side(self):
@@ -176,12 +192,43 @@ class TestSummaryCounts:
         ev.register_query(make_query(g, 1, 0, 1, 3, 2, text=("span",)))
         ev.register_query(make_query(g, 2, 0, 3, 0, 3, predicate=Predicate.INSIDE, text=()))
         dest = EvaluatorState(1, g, None)
-        dest.absorb_cells(ev.extract_cells((0, 2, 3, 3)))
-        assert ev.summary_counts == {"span": 1}
-        assert dest.summary_counts == {"span": 1, ANY_KEYWORD: 1}
+        dest.absorb_cells(take_region(ev, (0, 2, 3, 3)))
+        assert ev.summary_blocks() == {(0, 0): frozenset({"span"})}
+        # the wildcard alone stands for the block
+        assert dest.summary_blocks() == {(0, 0): frozenset({ANY_KEYWORD})}
         assert dest.attach_count == {1: 4, 2: 1}
         check_summary(ev)
         check_summary(dest)
+
+    def test_blocks_hold_only_the_queries_attached_in_them(self):
+        g = GridGeometry(8, 8)  # four summary blocks
+        ev = EvaluatorState(0, g, (0, 0, 7, 7))
+        ev.register_query(make_query(g, 1, 0, 0, 1, 1, text=("tea",)))
+        ev.register_query(make_query(g, 2, 3, 4, 4, 4, text=("mint",)))  # straddles two
+        ev.register_query(make_query(g, 3, 5, 5, 5, 5, text=("oat", "rye"),
+                                     predicate=Predicate.CONTAINS))
+        assert ev.summary_blocks() == {
+            (0, 0): frozenset({"tea"}),
+            (0, 1): frozenset({"mint"}),
+            (1, 1): frozenset({"mint", "oat"}),
+        }
+        check_summary(ev)
+
+    def test_a_refresh_recomputes_only_the_blocks_touched(self):
+        g = GridGeometry(8, 8)
+        ev = EvaluatorState(0, g, (0, 0, 7, 7))
+        ev.register_query(make_query(g, 1, 0, 0, 1, 1, text=("tea",)))
+        ev.register_query(make_query(g, 2, 5, 5, 5, 5, text=("mint",)))
+        first = ev.summary_blocks()
+        assert ev.summary_blocks() is first  # nothing touched: the same dict
+        ev.register_query(make_query(g, 3, 6, 0, 6, 0, text=("oat",)))
+        second = ev.summary_blocks()
+        assert second == {**first, (1, 0): frozenset({"oat"})}
+        # a dict once returned never changes, and an untouched block keeps its set
+        assert first == {(0, 0): frozenset({"tea"}), (1, 1): frozenset({"mint"})}
+        assert second[(0, 0)] is first[(0, 0)]
+        ev.extract_cells((4, 0, 7, 7))
+        assert ev.summary_blocks() == {(0, 0): frozenset({"tea"})}
 
 
 class TestProcessing:
@@ -438,7 +485,7 @@ class TestCleaning:
         while done is None:
             done = ev.cleaning_step(watermark=10, budget=4)
         assert 1 not in ev.registry and 2 in ev.registry
-        assert done == frozenset({"new"})
+        assert done == {(0, 0): frozenset({"new"})}
         check_aggregates(ev)
         check_summary(ev)
 
@@ -482,12 +529,12 @@ class TestCleaning:
         assert ev.cleaning_step(watermark=0, budget=4) is None  # 8 of 16 cells
         ev.extract_cells((0, 3, 3, 3))
         # 12 cells are left and 8 were walked: one more step ends the cycle
-        assert ev.cleaning_step(watermark=0, budget=4) == frozenset({"coffee"})
+        assert ev.cleaning_step(watermark=0, budget=4) == {(0, 0): frozenset({"coffee"})}
         # a cursor past the new end is clamped, and the next step ends the cycle
         assert ev.cleaning_step(watermark=0, budget=4) is None
         assert ev.cleaning_step(watermark=0, budget=4) is None
         ev.extract_cells((0, 0, 3, 1))
-        assert ev.cleaning_step(watermark=0, budget=4) == frozenset({"coffee"})
+        assert ev.cleaning_step(watermark=0, budget=4) == {(0, 0): frozenset({"coffee"})}
 
     def test_full_cleaning_cycle_now_boundary(self):
         g = GridGeometry(2, 2)
@@ -558,7 +605,7 @@ class TestMigration:
         g, ev = self.build_loaded()
         total_cost = ev.overall_cost
         total_q = ev.overall_q
-        batch = ev.extract_cells((0, 4, 5, 5))  # top two rows
+        batch = take_region(ev, (0, 4, 5, 5))  # top two rows
         dest = EvaluatorState(1, g, None)
         dest.absorb_cells(batch)
         assert ev.bounds == (0, 0, 5, 3)
@@ -575,7 +622,7 @@ class TestMigration:
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         q = make_query(g, 1, 0, 1, 3, 2, text=("span",))
         ev.register_query(q)
-        batch = ev.extract_cells((0, 2, 3, 3))
+        batch = take_region(ev, (0, 2, 3, 3))
         dest = EvaluatorState(1, g, None)
         dest.absorb_cells(batch)
         assert ev.registry[1] == q and dest.registry[1] == q
@@ -588,7 +635,7 @@ class TestMigration:
         reference = EvaluatorState(9, g, (0, 0, 5, 5))
         for q in ev.registry.values():
             reference.register_query(q)
-        batch = ev.extract_cells((4, 0, 5, 5))  # right strip
+        batch = take_region(ev, (4, 0, 5, 5))  # right strip
         dest = EvaluatorState(1, g, None)
         dest.absorb_cells(batch)
         rng = random.Random(99)
@@ -602,7 +649,7 @@ class TestMigration:
 
     def test_extract_everything_empties_the_evaluator(self):
         g, ev = self.build_loaded(seed=5)
-        batch = ev.extract_cells((0, 0, 5, 5))
+        batch = take_region(ev, (0, 0, 5, 5))
         assert ev.bounds is None
         assert not ev.registry and ev.overall_cost == 0 and ev.overall_q == 0
         dest = EvaluatorState(1, g, None)
@@ -644,7 +691,7 @@ class TestMigration:
         src = EvaluatorState(0, g, (0, 0, 3, 1))
         dst = EvaluatorState(1, g, (0, 2, 3, 3))
         src.register_query(make_query(g, 1, 0, 0, 3, 1, text=("w",)))
-        batch = src.extract_cells((0, 1, 3, 1))
+        batch = take_region(src, (0, 1, 3, 1))
         dst.cells[(2, 1)] = CellIndex()  # a stale cell outside dst's bounds
         with pytest.raises(RegionMismatchError):
             dst.absorb_cells(batch)
@@ -658,7 +705,7 @@ class TestMigration:
         q = make_query(g, 1, 0, 0, 3, 3, text=("dup",))
         src.register_query(q)
         dst.register_query(q)
-        batch = src.extract_cells((0, 0, 3, 1))
+        batch = take_region(src, (0, 0, 3, 1))
         dst.absorb_cells(batch)
         assert dst.attach_count[1] == 16
         check_aggregates(dst)
@@ -800,7 +847,7 @@ def test_random_migrations_adopt_cells_whole(data):
             else:
                 src, dest, region = right, left, (cut + 1, 0, cut + k, 5)
                 cut += k
-            batch = src.extract_cells(region)
+            batch = take_region(src, region)
             dest.absorb_cells(batch)
             check_absorbed_cells(dest, batch)
             for ev in (left, right):

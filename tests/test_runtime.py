@@ -15,8 +15,13 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import SingleIndexOracle
+from oracles import SingleIndexOracle, random_recursive_partitioning
+from test_evaluator import blocks_from_cells
+from skystream import agrid as agrid_mod
+from skystream.agrid import ANY_KEYWORD, SUMMARY_BLOCK, RoutingUnit
 from skystream.model import (
     ContinuousQuery,
     MatchResult,
@@ -319,7 +324,7 @@ class TestShiftRebalance:
             assert unit.grid.pm == s.pm
             assert unit.uview == {}
             assert unit.expected_epoch[1] == 1
-            assert unit.should_forward_object(frozenset(["alpha"]), 1)
+            assert unit.should_forward_object(frozenset(["alpha"]), 1, (3, 0))
         e0, e1 = s.workers["e0"], s.workers["e1"]
         assert e0.state.bounds == (0, 0, 2, 7)
         assert e1.state.bounds == (3, 0, 7, 7)
@@ -408,7 +413,7 @@ class TestMidTransferForwarding:
         assert set(e1.state.registry) == {1, 2, 3}
         assert set(e0.state.registry) == {1}
         for rname in s.router_names:
-            assert s.workers[rname].unit.should_forward_object(frozenset(["beta"]), 1)
+            assert s.workers[rname].unit.should_forward_object(frozenset(["beta"]), 1, (3, 0))
 
         n0 = len(s.results)
         s.ingest_object(mk_o(910, (3, 0), ["beta"], 300))
@@ -481,7 +486,7 @@ class TestProtocolViolation:
         s.trigger_stats()
         s.drain()
         assert s.workers["r1"].unit.expected_epoch[1] == 1
-        s.send("e1", "r1", MsgKind.SUMMARY_REFRESH, pid=1, kws=frozenset(),
+        s.send("e1", "r1", MsgKind.SUMMARY_REFRESH, pid=1, blocks={},
                vector={}, epoch=0, flush_of=s.workers["r0"].op_id)
         with pytest.raises(ProtocolViolation):
             s.drain()
@@ -636,9 +641,9 @@ class TestSplitMerge:
             assert 2 not in unit.base
             assert 2 not in unit.regs
             assert 2 not in unit.kw_count
-            assert unit.should_forward_object(frozenset(["alpha"]), 3)
-            assert unit.should_forward_object(frozenset(["beta"]), 1)
-            assert unit.should_forward_object(frozenset(["gamma"]), 1)
+            assert unit.should_forward_object(frozenset(["alpha"]), 3, (0, 2))
+            assert unit.should_forward_object(frozenset(["beta"]), 1, (0, 4))
+            assert unit.should_forward_object(frozenset(["gamma"]), 1, (4, 4))
 
     def test_matching_is_exact_after_split_merge(self):
         s = self.build()
@@ -744,7 +749,7 @@ class TestCleaningAndRefresh:
         s.drain()
         e0 = s.workers["e0"]
         assert 2 not in e0.state.registry
-        assert "zap" not in e0.state.summary_set()
+        assert all("zap" not in kws for kws in e0.state.summary_blocks().values())
 
         before = s.counters["dropped_by_summary"]
         s.ingest_object(mk_o(999, (x0, y0), ["zap"], 400))
@@ -854,10 +859,15 @@ class TestManyInterleavings:
         queries, objects = build_workload()
         s = run_interleaved(queries, objects, 4)
         for pid in s.pm:
-            ev = s.workers[f"e{pid}"].state.summary_set()
+            state = s.workers[f"e{pid}"].state
+            want = blocks_from_cells(state)
+            assert state.summary_blocks() == want
             for rname in s.router_names:
-                have = s.workers[rname].unit.effective_set(pid)
-                assert ev <= have, f"router {rname} under-reports pid {pid}"
+                unit = s.workers[rname].unit
+                for block, kws in want.items():
+                    have = unit.effective_set(pid, block)
+                    assert ANY_KEYWORD in have or kws <= have, (
+                        f"router {rname} under-reports pid {pid} block {block}")
 
     def test_same_seed_is_bit_for_bit_deterministic(self):
         queries, objects = build_workload()
@@ -874,6 +884,90 @@ class TestManyInterleavings:
         a = snapshot(run_interleaved(queries, objects, 7))
         b = snapshot(run_interleaved(queries, objects, 7))
         assert a == b
+
+
+def straddles_blocks(rect) -> bool:
+    """Whether a partition's edge cuts through a summary block."""
+    x0, y0, x1, y1 = rect
+    return any(v % SUMMARY_BLOCK for v in (x0, y0, x1 + 1, y1 + 1))
+
+
+def test_block_summaries_keep_the_oracle_answer_mid_migration(monkeypatch):
+    real = RoutingUnit.should_forward_object
+    block_drops = ops = 0
+
+    def counting(unit, o_text, pid, cell):
+        nonlocal block_drops
+        forward = real(unit, o_text, pid, cell)
+        if not forward:
+            wide = unit.effective_set(pid)  # what a per-partition set holds
+            block_drops += ANY_KEYWORD in wide or bool(o_text & wide)
+        return forward
+
+    monkeypatch.setattr(RoutingUnit, "should_forward_object", counting)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def run(data):
+        nonlocal ops
+        n = data.draw(st.sampled_from([10, 16, 18]), "n")
+        m = data.draw(st.sampled_from([12, 16]), "m")
+        policy = data.draw(st.sampled_from(["random_weighted", "round_robin"]), "policy")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        pm = random_recursive_partitioning(rng, n, m, 3)
+        assume(len(pm) == 3 and any(straddles_blocks(r) for r in pm.values()))
+        s = System(SystemConfig(grid_n=n, grid_m=m, routers=2, evaluators=3,
+                                seed=rng.randrange(1000), policy=policy, beta=0.02,
+                                stats_cadence=BIG, clean_interval=8, adaptive=True), pm=pm)
+        oracle = SingleIndexOracle()
+        preds = [Predicate.INSIDE, Predicate.OVERLAPS, Predicate.CONTAINS]
+
+        def query(qid):
+            pred = rng.choice(preds)
+            kws = frozenset(rng.sample(WORDS, rng.randint(1, 2)))
+            if pred is Predicate.INSIDE and rng.random() < 0.5:
+                kws = frozenset()
+            x0, y0 = rng.random() * 0.9, rng.random() * 0.9
+            mbr = Rect(x0, y0, x0 + rng.uniform(0.02, 0.1), y0 + rng.uniform(0.02, 0.1))
+            expiry = BIG if rng.random() < 0.7 else rng.randint(20, 120)
+            return ContinuousQuery(qid, mbr, kws, pred, expiry)
+
+        for qid in range(1, 21):
+            q = query(qid)
+            s.ingest_query(q)
+            oracle.register(q)
+        s.drain()
+        coord = s.workers[s.coordinator]
+        expected = []
+        qid = 20
+        objects = data.draw(st.integers(40, 120), "objects")
+        for oid in range(1, objects + 1):
+            o = SpatialKeywordObject(oid, Point(rng.random(), rng.random()),
+                                     frozenset(rng.sample(OBJECT_WORDS, rng.randint(1, 3))), oid)
+            s.ingest_object(o)
+            expected.extend(oracle.process(o))
+            for _ in range(rng.randint(0, 6)):
+                s.tick()
+            if oid % 15 in (0, 7):
+                # settle, start an op, and leave it in flight
+                s.drain()
+                s.trigger_stats()
+                while coord.op is None and s.tick():
+                    pass
+                if oid % 15 == 0:  # a registration racing the op
+                    qid += 1
+                    q = query(qid)
+                    s.ingest_query(q)
+                    oracle.register(q)
+                    s.drain()
+        s.drain()
+        assert sorted_results(s) == sorted(expected)
+        assert s.counters["forwarded_objects"] + s.counters["dropped_by_summary"] == objects
+        ops += s.counters["rebalance_count"]
+
+    run()
+    assert ops > 0, "no migration ever ran"
+    assert block_drops > 0, "no object was dropped that a per-partition set forwards"
 
 
 # ---------------------------------------------------------------------------
@@ -1054,50 +1148,104 @@ def run_drifting(on_send=None, before=None):
     return s, sent, sorted(expected)
 
 
+# What run_drifting produced with one router keyword set per partition,
+# before cell snapshots replaced per-query re-registration, and since.
+PER_PARTITION_DIGEST = dict(
+    delivered_total=7884,
+    sent={
+        "CellBatch": 384, "DataObject": 4476, "ForwardedTuple": 17,
+        "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
+        "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
+    },
+    decisions=[
+        (310, "shift_v", "2/0", 36, 2.06, 4.0),
+        (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
+        (1830, "shift_v", "0/2", 57, 0.52, 1.0),
+        (2112, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
+        (2414, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
+        (3311, "split_merge", "0/1/2/4", 121, 3.86, 3.2452830188679247),
+        (4226, "shift_v", "0/1", 161, 0.7000000000000001, 3.1964285714285716),
+        (7216, "split_merge", "3/4/2/1", 242, 4.58, 4.0),
+    ],
+    alphas=[
+        4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
+        3.967479674796748, 3.4455445544554455, 3.0689655172413794,
+        2.9714285714285715, 3.2452830188679247, 3.391304347826087,
+        3.6744186046511627, 3.1964285714285716, 2.3703703703703702,
+        2.909090909090909, 2.3646408839779007, 2.419753086419753,
+        3.965217391304348, 4.0, 3.9611650485436893, 4.0, 4.0, 4.0, 4.0, 1.0,
+    ],
+    counters={
+        "candidates": 3542, "dropped_by_summary": 1,
+        "forwarded_objects": 2399, "rebalance_count": 8,
+    },
+)
+
+# The same run with 4 x 4-cell summary blocks: 16 more objects are dropped
+# at the routers, which shifts the delivery ticks, and with them the
+# stats rounds' windows and the later ops' figures; the matches are the same.
+PER_BLOCK_DIGEST = dict(
+    delivered_total=7869,
+    sent={
+        "CellBatch": 384, "DataObject": 4461, "ForwardedTuple": 18,
+        "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
+        "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
+    },
+    decisions=[
+        (310, "shift_v", "2/0", 36, 2.06, 4.0),
+        (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
+        (1829, "shift_v", "0/2", 57, 0.52, 1.0),
+        (2116, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
+        (2413, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
+        (3316, "split_merge", "0/1/2/4", 128, 3.86, 3.2771084337349397),
+        (4223, "shift_v", "0/1", 161, 0.7000000000000001, 3.1780821917808217),
+        (7219, "split_merge", "3/4/2/1", 252, 4.54, 4.0),
+    ],
+    alphas=[
+        4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
+        3.967479674796748, 3.4455445544554455, 3.0689655172413794,
+        2.9714285714285715, 3.2771084337349397, 3.3684210526315788, 3.68,
+        3.1780821917808217, 2.3448275862068964, 2.954954954954955,
+        2.346368715083799, 2.4, 3.965217391304348, 4.0, 3.9607843137254903,
+        4.0, 4.0, 4.0, 4.0, 1.0,
+    ],
+    counters={
+        "candidates": 3545, "dropped_by_summary": 17,
+        "forwarded_objects": 2383, "rebalance_count": 8,
+    },
+)
+
+
 class TestAdaptiveRunDigest:
     """Pins the adaptive path's message sequence and results.
 
-    The figures are what the seeded run produced before cell snapshots
-    replaced per-query re-registration; a change that keeps what the
-    adaptive path computes and sends keeps every one of them.
+    A change that keeps what the adaptive path computes and sends keeps
+    every figure. With `SUMMARY_BLOCK` set to the grid's side, one block
+    covers the grid and a partition's block set is its whole summary, so
+    the run must give exactly what per-partition summaries gave.
     """
 
-    def test_counts_decisions_alphas_and_results_are_pinned(self):
+    @staticmethod
+    def check(want):
         s, sent, expected = run_drifting()
-        assert s.delivered_total == 7884
-        assert dict(sent) == {
-            "CellBatch": 384, "DataObject": 4476, "ForwardedTuple": 17,
-            "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
-            "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
-        }
+        assert s.delivered_total == want["delivered_total"]
+        assert dict(sent) == want["sent"]
         assert [(d["tick"], d["opKind"], d["pids"], d["Cr"], d["Ct"], d["alphaBefore"])
-                for d in s.decisions] == [
-            (310, "shift_v", "2/0", 36, 2.06, 4.0),
-            (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
-            (1830, "shift_v", "0/2", 57, 0.52, 1.0),
-            (2112, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
-            (2414, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
-            (3311, "split_merge", "0/1/2/4", 121, 3.86, 3.2452830188679247),
-            (4226, "shift_v", "0/1", 161, 0.7000000000000001, 3.1964285714285716),
-            (7216, "split_merge", "3/4/2/1", 242, 4.58, 4.0),
-        ]
-        assert [row["alpha"] for row in s.metrics] == [
-            4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
-            3.967479674796748, 3.4455445544554455, 3.0689655172413794,
-            2.9714285714285715, 3.2452830188679247, 3.391304347826087,
-            3.6744186046511627, 3.1964285714285716, 2.3703703703703702,
-            2.909090909090909, 2.3646408839779007, 2.419753086419753,
-            3.965217391304348, 4.0, 3.9611650485436893, 4.0, 4.0, 4.0, 4.0, 1.0,
-        ]
-        assert dict(s.counters) == {
-            "candidates": 3542, "dropped_by_summary": 1,
-            "forwarded_objects": 2399, "rebalance_count": 8,
-        }
+                for d in s.decisions] == want["decisions"]
+        assert [row["alpha"] for row in s.metrics] == want["alphas"]
+        assert dict(s.counters) == want["counters"]
         lines = sorted(format_match(m) for m in s.results)
         assert len(lines) == 842
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "85b9cc9e6364a6f732672d8a6d8e89d09364ee7c64a4692f3e5a07697c6e1be7"
         assert sorted_results(s) == expected
+
+    def test_counts_decisions_alphas_and_results_are_pinned(self):
+        self.check(PER_BLOCK_DIGEST)
+
+    def test_whole_grid_blocks_reproduce_per_partition_summaries(self, monkeypatch):
+        monkeypatch.setattr(agrid_mod, "SUMMARY_BLOCK", 32)  # run_drifting's grid side
+        self.check(PER_PARTITION_DIGEST)
 
 
 class TestRecordsTravelOnce:
