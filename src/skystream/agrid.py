@@ -26,6 +26,7 @@ from .model import ContinuousQuery, Point, Predicate, Rect
 
 __all__ = [
     "ANY_KEYWORD",
+    "WILDCARD",
     "CellRect",
     "OutOfWorldError",
     "EmptyIntersectionError",
@@ -53,6 +54,11 @@ CellRect = tuple[int, int, int, int]
 # Sentinel summary keyword meaning "forward every object" (needed for INSIDE
 # queries, which no textual filter can represent). Outside normal token space.
 ANY_KEYWORD = "\x00any"
+
+# The summary contribution of every INSIDE query, and the set of a block
+# holding one: its wildcard already forwards every keyword. One object,
+# shared by every pending entry and block that holds it.
+WILDCARD = frozenset((ANY_KEYWORD,))
 
 # Side, in grid cells, of the square blocks router summaries are kept per:
 # each partition's summary is one keyword set per block its cells fall in.
@@ -397,7 +403,7 @@ def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
     INSIDE queries have no textual filter at all and force the wildcard.
     """
     if q.predicate is Predicate.INSIDE:
-        return frozenset((ANY_KEYWORD,))
+        return WILDCARD
     if q.predicate is Predicate.OVERLAPS:
         return q.text
     return frozenset((min(q.text),))

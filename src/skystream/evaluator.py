@@ -9,6 +9,16 @@ indexes and their share of every aggregate, once per cell, and the books
 still balance on both sides. A migrating cell's inverted lists travel as
 they are and are never rebuilt query by query.
 
+Most lists hold one query, so `CellIndex` keeps them compact, and only its
+`attach`, `detach` and `copy` know the format. A keyword list holding one
+query is an immutable `frozenset((qid,))`, built once per registration and
+shared by every list that registration starts, in every cell; it becomes
+a mutable set only when a second query joins. While a cell holds no keyword
+query, its `spatial_only` is its `qids` set itself. Writes are copy-on-write
+at the frozensets: nothing ever mutates one, so a snapshot (`copy`) may
+share them, while it copies every mutable set, and so a migrated cell
+shares no mutable set with its source.
+
 The router summary is kept per summary block (`summary_block`): a block's
 keyword set is the union of `summary_contribution` over the queries attached
 to the owned cells in that block. Each block's set is cached, and a refresh
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .agrid import (
-    ANY_KEYWORD,
+    WILDCARD,
     CellRect,
     GridGeometry,
     block_cells,
@@ -74,29 +84,43 @@ class UnsplittableError(ValueError):
     pass
 
 
-# A cell's `spatial_only` until its first INSIDE query: most cells never
-# hold one, and an empty set per cell is about 200 bytes.
+# A split cell's `spatial_only` while it holds no INSIDE query.
 NO_QIDS: frozenset[int] = frozenset()
 
 NO_KEYWORDS: frozenset[str] = frozenset()
 
-# The summary of a block holding an INSIDE query: its wildcard already
-# forwards every keyword, so the block needs nothing else.
-WILDCARD = frozenset((ANY_KEYWORD,))
-
 
 class CellIndex:
-    """Index content of one grid cell."""
+    """Index content of one grid cell.
+
+    `qids` holds every query attached here, `spatial_only` the INSIDE ones
+    and `inverted` each keyword's list of the others. Two formats keep
+    the common cases small, and only `attach`, `detach` and `copy` write
+    them:
+
+    - A keyword list holding one query is the frozenset `single` passed to
+      `attach`, which the caller builds once per registration and shares
+      across every list the call starts; it becomes a mutable set when a
+      second query joins, and a detach that finds the frozenset deletes
+      the key.
+    - While `inverted` is empty every query here is INSIDE, and
+      `spatial_only` is `qids` itself. The first keyword query splits the
+      two, and the detach that empties `inverted` joins them again.
+
+    The rule is copy-on-write at the frozensets: a write replaces one and
+    never mutates it, so `copy` shares them and copies every mutable set.
+    Readers may hold what `candidates` returns only until the next write.
+    """
 
     __slots__ = ("cost", "qids", "inverted", "spatial_only")
 
     def __init__(self) -> None:
         self.cost = 0
         self.qids: set[int] = set()
-        self.inverted: dict[str, set[int]] = {}
-        self.spatial_only: set[int] | frozenset[int] = NO_QIDS  # INSIDE queries, no keywords
+        self.inverted: dict[str, set[int] | frozenset[int]] = {}
+        self.spatial_only: set[int] | frozenset[int] = self.qids
 
-    def candidates(self, o_text: frozenset[str]) -> set[int]:
+    def candidates(self, o_text: frozenset[str]) -> set[int] | frozenset[int]:
         """Qids the object's keywords pull from this cell, for reading only.
 
         When one list contributes, this is that list itself; a copy is made
@@ -112,12 +136,71 @@ class CellIndex:
                 found = found | hits if found else hits
         return found
 
+    def attach(self, qid: int, text: frozenset[str] | None,
+               single: frozenset[int] | None) -> bool:
+        """Index `qid` under `text` (None for INSIDE); False if it is here already.
+
+        `single` is `frozenset((qid,))`, shared by every list this starts.
+        """
+        qids = self.qids
+        if qid in qids:
+            return False
+        inside = self.spatial_only
+        if text is None:
+            if inside is not qids:
+                if inside:
+                    inside.add(qid)
+                else:
+                    self.spatial_only = {qid}
+        else:
+            if inside is qids:  # the first keyword query: split
+                self.spatial_only = set(qids) if qids else NO_QIDS
+            inverted = self.inverted
+            for kw in text:
+                hits = inverted.get(kw)
+                if hits is None:
+                    inverted[kw] = single
+                elif hits.__class__ is frozenset:
+                    inverted[kw] = {*hits, qid}
+                else:
+                    hits.add(qid)
+        qids.add(qid)
+        return True
+
+    def detach(self, qid: int, text: frozenset[str] | None) -> None:
+        """Undo `attach(qid, text, ...)`; `qid` must be here."""
+        qids = self.qids
+        qids.remove(qid)
+        inside = self.spatial_only
+        if text is None:
+            if inside is not qids:
+                inside.remove(qid)
+                if not inside:
+                    self.spatial_only = NO_QIDS
+            return
+        inverted = self.inverted
+        for kw in text:
+            hits = inverted[kw]
+            if hits.__class__ is frozenset:
+                del inverted[kw]
+            else:
+                hits.remove(qid)
+                if not hits:
+                    del inverted[kw]
+        if not inverted:  # every query left is INSIDE: join them again
+            self.spatial_only = qids
+
     def copy(self) -> CellIndex:
-        """A snapshot sharing no mutable set with this cell."""
+        """A snapshot sharing no mutable set with this cell.
+
+        It keeps the join of `spatial_only` and `qids`, and shares the
+        one-query frozensets (`frozenset.copy` returns the set itself).
+        """
         snap = CellIndex.__new__(CellIndex)
         snap.cost = self.cost
-        snap.qids = self.qids.copy()
-        snap.spatial_only = self.spatial_only.copy()
+        snap.qids = qids = self.qids.copy()
+        inside = self.spatial_only
+        snap.spatial_only = qids if inside is self.qids else inside.copy()
         snap.inverted = {kw: hits.copy() for kw, hits in self.inverted.items()}
         return snap
 
@@ -237,9 +320,12 @@ class EvaluatorState:
             return 0
         record = self.registry.get(q.qid, q)
         qid = record.qid
-        text = None if record.predicate is Predicate.INSIDE else record.text
+        if record.predicate is Predicate.INSIDE:
+            text = single = None
+        else:
+            text, single = record.text, frozenset((qid,))
         cells = self.cells
-        attach = self._attach_cell
+        col_q, row_q = self.col_q, self.row_q
         added = 0
         x0, y0, x1, y1 = region
         for j in range(y0, y1 + 1):
@@ -248,48 +334,18 @@ class EvaluatorState:
                 cell = cells.get(coord)
                 if cell is None:
                     cell = cells[coord] = CellIndex()
-                added += attach(cell, coord, qid, text)
+                if cell.attach(qid, text, single):
+                    col_q[i] += 1
+                    row_q[j] += 1
+                    added += 1
         if added:
             self._admit(record, added)
             self._touch(region)
         return added
 
-    def _attach_cell(self, cell: CellIndex, coord: tuple[int, int], qid: int,
-                     text: frozenset[str] | None) -> bool:
-        """Index `qid` in one cell, under `text` (None for INSIDE); False if there."""
-        qids = cell.qids
-        if qid in qids:
-            return False
-        qids.add(qid)
-        if text is None:
-            inside = cell.spatial_only
-            if not inside:  # NO_QIDS, or emptied: the cell gets a set of its own
-                inside = cell.spatial_only = set()
-            inside.add(qid)
-        else:
-            inverted = cell.inverted
-            for kw in text:
-                hits = inverted.get(kw)
-                if hits is None:
-                    inverted[kw] = {qid}
-                else:
-                    hits.add(qid)
-        self.col_q[coord[0]] += 1
-        self.row_q[coord[1]] += 1
-        return True
-
     def _detach(self, qid: int, cell: CellIndex, coord: tuple[int, int]) -> None:
         q = self.registry[qid]
-        cell.qids.discard(qid)
-        if q.predicate is Predicate.INSIDE:
-            cell.spatial_only.discard(qid)
-        else:
-            for kw in q.text:
-                hits = cell.inverted.get(kw)
-                if hits is not None:
-                    hits.discard(qid)
-                    if not hits:
-                        del cell.inverted[kw]
+        cell.detach(qid, None if q.predicate is Predicate.INSIDE else q.text)
         self.col_q[coord[0]] -= 1
         self.row_q[coord[1]] -= 1
         self._retire(qid, 1)

@@ -870,20 +870,18 @@ class TextualEvaluator(EvaluatorWorker):
         sys.retire(o.ts)
 
     def handle_query(self, q: ContinuousQuery, origin: tuple | None, seq: int) -> None:
-        for kw in q.text:
-            if self.sys.keyword_evaluator(kw) == self.index:
-                self.flat.inverted.setdefault(kw, set()).add(q.qid)
+        self.flat.attach(q.qid, self.own_keywords(q.text), frozenset((q.qid,)))
         self.registry[q.qid] = q
 
     def maybe_clean(self) -> None:
         wm = self.sys.watermark()
         for qid in [qid for qid, q in self.registry.items() if q.expiry < wm]:
-            for kw in self.registry.pop(qid).text:
-                hits = self.flat.inverted.get(kw)
-                if hits is not None:
-                    hits.discard(qid)
-                    if not hits:
-                        del self.flat.inverted[kw]
+            self.flat.detach(qid, self.own_keywords(self.registry.pop(qid).text))
+
+    def own_keywords(self, text: frozenset[str]) -> frozenset[str]:
+        """The keywords of `text` that this evaluator indexes."""
+        keyword_evaluator = self.sys.keyword_evaluator
+        return frozenset(kw for kw in text if keyword_evaluator(kw) == self.index)
 
 
 # mode -> (router class, evaluator class)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skystream import agrid
 from skystream.agrid import ANY_KEYWORD, GridGeometry, summary_block, summary_contribution
 from skystream.evaluator import (
+    NO_QIDS,
+    WILDCARD,
     CellBatch,
     CellIndex,
     EvaluatorState,
@@ -18,10 +21,12 @@ from skystream.evaluator import (
 )
 from skystream.model import (
     ContinuousQuery,
+    MatchResult,
     Point,
     Predicate,
     Rect,
     SpatialKeywordObject,
+    matches,
 )
 
 from oracles import (
@@ -712,6 +717,83 @@ class TestMigration:
         check_summary(dst)
 
 
+class TestCompactLists:
+    """One-query keyword lists are one shared frozenset per registration, and
+    a cell whose queries are all INSIDE keeps one qid set."""
+
+    def test_single_query_lists_share_one_frozenset_per_registration(self):
+        g = GridGeometry(8, 8)
+        ev = EvaluatorState(0, g, (0, 0, 7, 7))
+        k = 16
+        for qid in range(k):  # disjoint 2x2 ranges tiling the grid
+            x, y = 2 * (qid % 4), 2 * (qid // 4)
+            ev.register_query(make_query(g, qid, x, y, x + 1, y + 1, text=("tea",)))
+        lists = [hits for cell in ev.cells.values() for hits in cell.inverted.values()]
+        assert len(lists) == 4 * k
+        assert all(type(hits) is frozenset for hits in lists)
+        assert len({id(hits) for hits in lists}) == k
+        for cell in ev.cells.values():
+            assert cell.inverted == {"tea": cell.qids}
+
+    def test_a_second_query_makes_a_set_and_detach_drops_the_frozenset(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 1, 0, text=("tea", "jam"), expiry=5))
+        ev.register_query(make_query(g, 2, 0, 0, 0, 0, text=("tea",)))
+        joined, alone = ev.cells[(0, 0)], ev.cells[(1, 0)]
+        assert type(joined.inverted["tea"]) is set and joined.inverted["tea"] == {1, 2}
+        assert type(joined.inverted["jam"]) is frozenset
+        assert alone.inverted["tea"] is alone.inverted["jam"] is joined.inverted["jam"]
+        full_cleaning_cycle(ev, now=5)
+        assert joined.inverted == {"tea": {2}}
+        assert (1, 0) not in ev.cells
+        check_aggregates(ev)
+
+    def test_inside_only_cell_keeps_one_qid_set(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        for qid in (1, 2):
+            ev.register_query(make_query(g, qid, 1, 1, 1, 1, text=(),
+                                         predicate=Predicate.INSIDE, expiry=qid * 10))
+        cell = ev.cells[(1, 1)]
+        assert cell.spatial_only is cell.qids and cell.qids == {1, 2}
+        ev.register_query(make_query(g, 3, 1, 1, 1, 1, text=("tea",), expiry=5))
+        assert cell.spatial_only is not cell.qids and cell.spatial_only == {1, 2}
+        full_cleaning_cycle(ev, now=5)  # the keyword query leaves: joined again
+        assert cell.spatial_only is cell.qids and cell.qids == {1, 2}
+        full_cleaning_cycle(ev, now=10)
+        assert cell.spatial_only is cell.qids and cell.qids == {2}
+        assert ev.process_object(make_object(g, 1, 1, 1, ts=10)) == [MatchResult(2, 1, 10)]
+        check_aggregates(ev)
+
+    def test_keyword_cell_splits_to_the_shared_empty_set(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 0, 0, text=("tea",)))
+        assert ev.cells[(0, 0)].spatial_only is NO_QIDS
+
+    def test_copy_keeps_the_join_and_shares_only_frozensets(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(make_query(g, 1, 0, 0, 0, 0, text=(), predicate=Predicate.INSIDE))
+        ev.register_query(make_query(g, 2, 1, 0, 1, 0, text=("tea", "jam")))
+        ev.register_query(make_query(g, 3, 1, 0, 1, 0, text=("tea",)))
+        inside, keyed = ev.cells[(0, 0)].copy(), ev.cells[(1, 0)]
+        assert inside.spatial_only is inside.qids is not ev.cells[(0, 0)].qids
+        snap = keyed.copy()
+        assert snap.inverted["jam"] is keyed.inverted["jam"]
+        assert snap.inverted["tea"] == {2, 3} and snap.inverted["tea"] is not keyed.inverted["tea"]
+
+    def test_one_wildcard_object(self):
+        g = GridGeometry(4, 4)
+        q = make_query(g, 1, 0, 0, 0, 0, text=(), predicate=Predicate.INSIDE)
+        assert WILDCARD is agrid.WILDCARD
+        assert summary_contribution(q) is WILDCARD
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        ev.register_query(q)
+        assert ev.summary_blocks()[(0, 0)] is WILDCARD
+
+
 class TestStatsReport:
     def test_report_is_fixed_size(self):
         g, ev = TestMigration().build_loaded()
@@ -860,3 +942,133 @@ def test_random_migrations_adopt_cells_whole(data):
 
 def test_iter_region_is_row_major():
     assert list(iter_region((1, 2, 2, 3))) == [(1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+def plain_cell(cell: CellIndex) -> tuple:
+    """A cell's lists by value, as plain frozensets."""
+    return (frozenset(cell.qids), frozenset(cell.spatial_only),
+            {kw: frozenset(hits) for kw, hits in cell.inverted.items()})
+
+
+def reference_cell(qids: set[int], queries: dict[int, ContinuousQuery]) -> tuple:
+    """What a plain-set index over `qids` holds."""
+    inverted: dict[str, set[int]] = {}
+    inside = set()
+    for qid in qids:
+        q = queries[qid]
+        if q.predicate is Predicate.INSIDE:
+            inside.add(qid)
+        else:
+            for kw in q.text:
+                inverted.setdefault(kw, set()).add(qid)
+    return (frozenset(qids), frozenset(inside),
+            {kw: frozenset(hits) for kw, hits in inverted.items()})
+
+
+def check_cell_format(cell: CellIndex, queries: dict[int, ContinuousQuery]) -> set[int]:
+    """The format invariants of one cell; returns the ids of its mutable sets."""
+    for hits in cell.inverted.values():
+        if type(hits) is frozenset:
+            assert len(hits) == 1
+        else:
+            assert type(hits) is set and hits
+    joined = cell.spatial_only is cell.qids
+    assert joined == (not cell.inverted)
+    if joined:
+        assert all(queries[qid].predicate is Predicate.INSIDE for qid in cell.qids)
+    else:
+        assert type(cell.spatial_only) is set and cell.spatial_only or cell.spatial_only is NO_QIDS
+    mutable = [cell.qids, cell.spatial_only, *cell.inverted.values()]
+    return {id(s) for s in mutable if type(s) is set}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compact_cells_equal_a_plain_set_index(data):
+    """Random register, process, clean, migrate and copy steps over two
+    evaluators at a moving column cut: after each step every cell, and every
+    snapshot taken so far, equals a plain-set index by value, keeps the list
+    format, and shares no mutable set with any other cell or snapshot."""
+    g = GridGeometry(6, 6)
+    cut = data.draw(st.integers(0, 4))  # left owns columns 0..cut
+    left = EvaluatorState(0, g, (0, 0, cut, 5))
+    right = EvaluatorState(1, g, (cut + 1, 0, 5, 5))
+    queries: dict[int, ContinuousQuery] = {}
+    ref: dict[tuple[int, int], set[int]] = {c: set() for c in iter_region((0, 0, 5, 5))}
+    snaps: list[tuple[CellIndex, tuple]] = []
+    vocab = ["p", "q", "r"]
+    qid = ts = 0
+    for _ in range(data.draw(st.integers(10, 50))):
+        op = data.draw(st.sampled_from(["reg", "reg", "obj", "clean", "move", "copy"]))
+        ts += 1
+        if op == "reg":
+            x0 = data.draw(st.integers(0, 5))
+            y0 = data.draw(st.integers(0, 5))
+            x1 = data.draw(st.integers(x0, min(5, x0 + 2)))
+            y1 = data.draw(st.integers(y0, min(5, y0 + 2)))
+            pred = data.draw(st.sampled_from(list(Predicate)))
+            words = () if pred is Predicate.INSIDE else data.draw(
+                st.sets(st.sampled_from(vocab), min_size=1, max_size=2))
+            q = make_query(g, qid, x0, y0, x1, y1, text=words, predicate=pred,
+                           expiry=ts + data.draw(st.integers(0, 20)))
+            queries[qid] = q
+            for ev in (left, right):
+                ev.register_query(q)
+            for coord in iter_region((x0, y0, x1, y1)):
+                ref[coord].add(qid)
+            qid += 1
+        elif op == "obj":
+            i = data.draw(st.integers(0, 5))
+            j = data.draw(st.integers(0, 5))
+            o = make_object(g, ts, i, j, ts=ts,
+                            text=data.draw(st.sets(st.sampled_from(vocab), min_size=1, max_size=2)))
+            want = [MatchResult(k, o.oid, ts) for k in sorted(ref[(i, j)])
+                    if ts <= queries[k].expiry and matches(o, queries[k])]
+            assert (left if i <= cut else right).process_object(o) == want
+        elif op == "clean":
+            ev = data.draw(st.sampled_from([left, right]))
+            if ev.bounds is None:
+                continue
+            budget = data.draw(st.integers(1, 12))
+            x0, y0, x1, _ = ev.bounds
+            width = x1 - x0 + 1
+            start = ev._cursor
+            for k in range(start, min(start + budget, ev.owned_cell_count())):
+                coord = (x0 + k % width, y0 + k // width)
+                ref[coord] = {h for h in ref[coord] if queries[h].expiry >= ts}
+            ev.cleaning_step(ts, budget=budget)
+        elif op == "move":
+            to_right = data.draw(st.booleans())
+            donor_width = cut + 1 if to_right else 5 - cut
+            if not donor_width:
+                continue
+            k = data.draw(st.integers(1, donor_width))
+            if to_right:
+                src, dest, region = left, right, (cut - k + 1, 0, cut, 5)
+                cut -= k
+            else:
+                src, dest, region = right, left, (cut + 1, 0, cut + k, 5)
+                cut += k
+            dest.absorb_cells(take_region(src, region))
+        else:
+            ev = data.draw(st.sampled_from([left, right]))
+            if ev.cells:
+                coord = data.draw(st.sampled_from(sorted(ev.cells)))
+                snap = ev.cells[coord].copy()
+                snaps.append((snap, reference_cell(ref[coord], queries)))
+        owners: dict[int, int] = {}  # id of a mutable set -> the cell holding it
+        held = [(coord, cell) for ev in (left, right) for coord, cell in ev.cells.items()]
+        assert len(held) == len({coord for coord, _ in held})
+        for coord, cell in held:
+            assert plain_cell(cell) == reference_cell(ref[coord], queries), coord
+        for coord in iter_region((0, 0, 5, 5)):
+            if not any(c == coord for c, _ in held):
+                assert not ref[coord], coord
+        for n, cell in enumerate([cell for _, cell in held] + [snap for snap, _ in snaps]):
+            for ident in check_cell_format(cell, queries):
+                assert owners.setdefault(ident, n) == n
+        for snap, want in snaps:
+            assert plain_cell(snap) == want
+    for ev in (left, right):
+        check_aggregates(ev)
+        check_summary(ev)

@@ -1372,6 +1372,27 @@ class TestOtherModes:
         s.drain()
         assert sorted_results(s) == [(1, 1, 4)]
 
+    def test_textual_index_holds_own_keywords_until_eviction(self):
+        cfg = SystemConfig(grid_n=8, grid_m=8, routers=1, evaluators=3, seed=1,
+                           mode="textual", stats_cadence=BIG, clean_interval=BIG)
+        s = System(cfg)
+        words = frozenset(["a", "b", "c", "d", "e"])
+        for qid, expiry in ((1, 3), (2, BIG)):
+            s.ingest_query(ContinuousQuery(qid, Rect(0.0, 0.0, 1.0, 1.0), words,
+                                           Predicate.OVERLAPS, expiry))
+        s.drain()
+        evaluators = [s.workers[name] for name in s.evaluator_names]
+        for ev in evaluators:
+            own = {kw for kw in words if s.keyword_evaluator(kw) == ev.index}
+            assert ev.flat.inverted == {kw: {1, 2} for kw in own}
+        s.ingest_object(SpatialKeywordObject(1, Point(0.5, 0.5), frozenset(["a"]), 4))
+        s.drain()
+        for ev in evaluators:
+            ev.maybe_clean()
+            own = {kw for kw in words if s.keyword_evaluator(kw) == ev.index}
+            assert ev.flat.inverted == {kw: {2} for kw in own}
+            assert set(ev.registry) == ({2} if own else set())
+
     def test_textual_mode_rejects_spatial_only_queries(self):
         cfg = SystemConfig(grid_n=8, grid_m=8, routers=1, evaluators=2, seed=1,
                            mode="textual")
