@@ -977,7 +977,8 @@ def check_cell_format(cell: CellIndex, queries: dict[int, ContinuousQuery]) -> s
     if joined:
         assert all(queries[qid].predicate is Predicate.INSIDE for qid in cell.qids)
     else:
-        assert type(cell.spatial_only) is set and cell.spatial_only or cell.spatial_only is NO_QIDS
+        inside = cell.spatial_only
+        assert inside is NO_QIDS or (type(inside) is set and inside)
     mutable = [cell.qids, cell.spatial_only, *cell.inverted.values()]
     return {id(s) for s in mutable if type(s) is set}
 
@@ -1058,11 +1059,12 @@ def test_compact_cells_equal_a_plain_set_index(data):
                 snaps.append((snap, reference_cell(ref[coord], queries)))
         owners: dict[int, int] = {}  # id of a mutable set -> the cell holding it
         held = [(coord, cell) for ev in (left, right) for coord, cell in ev.cells.items()]
-        assert len(held) == len({coord for coord, _ in held})
+        held_coords = {coord for coord, _ in held}
+        assert len(held) == len(held_coords)
         for coord, cell in held:
             assert plain_cell(cell) == reference_cell(ref[coord], queries), coord
         for coord in iter_region((0, 0, 5, 5)):
-            if not any(c == coord for c, _ in held):
+            if coord not in held_coords:
                 assert not ref[coord], coord
         for n, cell in enumerate([cell for _, cell in held] + [snap for snap, _ in snaps]):
             for ident in check_cell_format(cell, queries):
