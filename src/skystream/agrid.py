@@ -344,7 +344,9 @@ def uniform_partitioning(n: int, m: int, k: int) -> dict[int, CellRect]:
     rows, cols = best
     if cols > n or rows > m:
         rows, cols = cols, rows
-    xs = np.linspace(0, n, cols + 1, dtype=int)
+    if cols > n or rows > m:
+        raise ValueError(f"cannot carve {k} uniform partitions from a grid of {n} x {m} cells")
+    xs =np.linspace(0, n, cols + 1, dtype=int)
     ys = np.linspace(0, m, rows + 1, dtype=int)
     pm: dict[int, CellRect] = {}
     pid = 0
@@ -564,18 +566,6 @@ class RoutingUnit:
         self.regs.pop(pid, None)
         self.kw_count.pop(pid, None)
         self.uview.pop(pid, None)
-
-    def effective_set(self, pid: int, block: tuple[int, int] | None = None) -> frozenset[str]:
-        """Keywords the gate forwards on at `pid` in `block`, or in any block when None."""
-        out: set[str] = set(self.kw_count.get(pid, ()))
-        blocks = self.base.get(pid, {})
-        if block is None:
-            out.update(*blocks.values())
-        else:
-            out.update(blocks.get(block, ()))
-        if pid in self.uview:
-            out |= self.effective_set(self.uview[pid], block)
-        return frozenset(out)
 
     def apply_partition_update(self, pm: dict[int, CellRect], generation: int) -> None:
         self.retired |= set(self.grid.pm) - set(pm)

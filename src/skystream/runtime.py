@@ -2,23 +2,21 @@
 
 Workers (routing replicas and evaluators) exchange messages over FIFO
 channels driven by a seeded scheduler, so any run is reproducible from
-(config, seed, input order). The interesting part is the two-phase cell
-transfer: while a region migrates between evaluators, objects and queries
-keep flowing, and the combination of transmitted-cell marking, query
-forwarding, pre-merged summaries, and permanent forwarding entries keeps
-matching exactly-once throughout.
+(config, seed, input order). The interesting part is the cell transfer:
+while a region migrates between evaluators, objects and queries keep
+flowing, and the combination of query forwarding, pre-merged summaries, and
+permanent forwarding entries keeps matching exactly-once throughout.
 
 One transfer (src hands `region` to dst) runs like this:
 
   coordinator  premerges summaries at every router, then tells src to begin
-  src          streams one cell snapshot per message, marking each
-               transmitted, and sends each query record once per transfer,
-               with the first snapshot that indexes it; keeps evaluating
-               objects over its whole area; queries that overlap a
-               transmitted cell are indexed locally and also forwarded to dst
-  dst          stages the snapshots and forwarded queries, adopts the
-               snapshots as its cells in one absorb step when the stream
-               ends, then confirms
+  src          sends the whole region in one CELL_BATCH: a snapshot of every
+               cell with cost or queries, and the record of every query they
+               index; keeps evaluating objects over its whole area; a query
+               that overlaps the region is indexed locally and also forwarded
+               to dst, which the FIFO channel delivers after the batch
+  dst          adopts the snapshots as its cells in one absorb step, bumps
+               its summary epoch, then confirms
   coordinator  orders src to extract (src drops the region and installs a
                permanent forwarding entry), broadcasts the new partitions
                map, collects router acks, then has dst flush its first
@@ -41,8 +39,9 @@ router and destination); any other ack is a ProtocolViolation.
 
 Objects move in batches: what was ingested since the last delivery goes to
 each router as one DATA_OBJECT, and a router sends each evaluator one
-DATA_OBJECT of (object, cell) pairs. Workers still act object by object,
-and delivery counts and channel depths count the objects in a batch.
+DATA_OBJECT of (object, cell) pairs. Workers still act object by object.
+Delivery counts and channel depths count a batch of k objects or k cell
+snapshots as k.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -123,7 +122,7 @@ class Message:
     kind: MsgKind
     payload: dict
     seq: int  # per-channel, strictly increasing from 0
-    size: int = 1  # objects carried by a DATA_OBJECT batch, else 1
+    size: int = 1  # objects or cell snapshots a batch carries, else 1
 
 
 @dataclass
@@ -131,22 +130,9 @@ class TransientState:
     """Source-side bookkeeping for one outgoing region transfer."""
 
     op_id: int
-    tid: int
     peer: str
     region: CellRect
-    pending: deque
-    transmitted: set = field(default_factory=set)
-    sent_records: set = field(default_factory=set)  # qids whose record dst holds
     extracted: bool = False
-
-
-@dataclass(kw_only=True)
-class StagingState(CellBatch):
-    """Destination-side buffer until the whole region has arrived; absorbed as it is."""
-
-    op_id: int
-    tid: int
-    queries: dict[int, ContinuousQuery] = field(default_factory=dict)  # by qid, in arrival order
 
 
 # -- scheduling ------------------------------------------------------------------
@@ -215,6 +201,8 @@ class SystemConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adaptive and self.mode != "agrid":
             raise ValueError("adaptive rebalancing requires the agrid mode")
+        if self.grid_n < 1 or self.grid_m < 1:
+            raise ValueError("the grid needs at least one cell on each side")
         if self.routers < 1 or self.evaluators < 1:
             raise ValueError("need at least one router and one evaluator")
         if self.stats_cadence < 1 or self.clean_interval < 1:
@@ -509,7 +497,6 @@ class EvaluatorWorker:
         self.own_seq = 0
         self.epoch = 0
         self.transient: TransientState | None = None
-        self.staging: StagingState | None = None
         self.forward_table: list[tuple[CellRect, str]] = []
         self.window_cost = 0
         self.delivered = 0
@@ -538,7 +525,7 @@ class EvaluatorWorker:
             else:
                 self.handle_forwarded_query(p["query"], p.get("cells"))
         elif msg.kind is MsgKind.CELL_BATCH:
-            self.stage_cell(p)
+            self.absorb_region(p)
         elif msg.kind is MsgKind.REBALANCE_COMMAND:
             self.handle_command(p)
         else:
@@ -604,10 +591,6 @@ class EvaluatorWorker:
     def handle_forwarded_query(self, q: ContinuousQuery,
                                cells: tuple | None) -> None:
         crange = self.state.geom.cell_range(q.mbr)
-        stg = self.staging
-        if stg is not None and rect_intersect(crange, stg.region) is not None:
-            # incoming-region cells are still staged; register after absorbing
-            stg.queries.setdefault(q.qid, q)
         if self.state.register_query(q, crange):
             self.broadcast_own_registration(q)
         chase = None if cells is None else frozenset(cells)
@@ -630,15 +613,11 @@ class EvaluatorWorker:
             return  # nothing has left this evaluator that the query could chase
         sys = self.sys
         if live:
-            # live outgoing transfer: transmitted cells already left as copies
+            # live outgoing transfer: every region cell already left as a copy
             overlap = rect_intersect(crange, tr.region)
             if overlap is not None:
-                gone = tuple(c for c in iter_region(overlap)
-                             if c in tr.transmitted)
-                if gone:
-                    sys.send(self.name, tr.peer, MsgKind.FORWARDED_TUPLE,
-                             inner="query", query=q, cells=gone)
-        stg = self.staging
+                sys.send(self.name, tr.peer, MsgKind.FORWARDED_TUPLE,
+                         inner="query", query=q, cells=tuple(iter_region(overlap)))
         targets: dict[str, list] = {}
         claimed: set[tuple[int, int]] = set()
         for region, peer in reversed(self.forward_table):
@@ -653,8 +632,6 @@ class EvaluatorWorker:
                 claimed.add(c)
                 if self.state.owns_cell(c):
                     continue
-                if stg is not None and rect_contains_cell(stg.region, c):
-                    continue  # cell is inbound; the staged copy registers it
                 targets.setdefault(peer, []).append(c)
         for peer, cs in targets.items():
             sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
@@ -684,15 +661,6 @@ class EvaluatorWorker:
             self.window_cost = 0
         elif verb == "begin_transfer":
             self.begin_outgoing(p["op_id"], p["tid"], p["region"], p["dst"])
-        elif verb == "stream_next":
-            self.stream_next(p["op_id"])
-        elif verb == "cells_begin":
-            if self.staging is not None:
-                raise ProtocolViolation(f"{self.name} is already staging a region")
-            self.epoch += 1
-            self.staging = StagingState(p["region"], [], {}, op_id=p["op_id"], tid=p["tid"])
-        elif verb == "cells_done":
-            self.finish_staging()
         elif verb == "extract_now":
             tr = self.transient
             if tr is None or tr.op_id != p["op_id"]:
@@ -710,69 +678,36 @@ class EvaluatorWorker:
             raise ProtocolViolation(f"unknown command verb {verb!r}")
 
     def begin_outgoing(self, op_id: int, tid: int, region: CellRect, dst: int) -> None:
-        sys = self.sys
+        """Send `region` to `dst` as one CELL_BATCH: a snapshot of every cell
+        with cost or queries, and the record of every query they index."""
         if self.transient is not None:
             raise ProtocolViolation(f"{self.name} already has an outgoing transfer")
         peer = f"e{dst}"
-        self.transient = TransientState(op_id, tid, peer, region,
-                                        deque(iter_region(region)))
-        sys.send(self.name, peer, MsgKind.REBALANCE_COMMAND,
-                 verb="cells_begin", op_id=op_id, tid=tid, region=region)
-        sys.send(self.name, self.name, MsgKind.REBALANCE_COMMAND,
-                 verb="stream_next", op_id=op_id)
+        self.transient = TransientState(op_id, peer, region)
+        st = self.state
+        cells = []
+        qids: set[int] = set()
+        for coord in iter_region(region):
+            cell = st.cells.get(coord)
+            if cell is not None and (cell.cost or cell.qids):
+                cells.append((coord, cell.copy()))
+                qids |= cell.qids
+        registry = st.registry
+        self.sys.send(self.name, peer, MsgKind.CELL_BATCH, op_id=op_id, tid=tid,
+                      region=region, cells=cells,
+                      records={qid: registry[qid] for qid in qids})
 
-    def stream_next(self, op_id: int) -> None:
-        tr = self.transient
-        if tr is None or tr.op_id != op_id:
-            raise ProtocolViolation(f"{self.name} has no transfer {op_id} to stream")
-        sys = self.sys
-        coord = tr.pending.popleft()
-        tr.transmitted.add(coord)
-        cell = self.state.cells.get(coord)
-        if cell is not None and (cell.cost or cell.qids):
-            # the channel is FIFO, so dst holds every record sent before
-            new = cell.qids - tr.sent_records
-            tr.sent_records |= new
-            registry = self.state.registry
-            sys.send(self.name, tr.peer, MsgKind.CELL_BATCH,
-                     op_id=op_id, tid=tr.tid, coord=coord, cell=cell.copy(),
-                     records={qid: registry[qid] for qid in new})
-        if tr.pending:
-            sys.send(self.name, self.name, MsgKind.REBALANCE_COMMAND,
-                     verb="stream_next", op_id=op_id)
-        else:
-            sys.send(self.name, tr.peer, MsgKind.REBALANCE_COMMAND,
-                     verb="cells_done", op_id=op_id, tid=tr.tid)
-
-    def stage_cell(self, p: dict) -> None:
-        stg = self.staging
-        if stg is None or stg.op_id != p["op_id"]:
-            raise ProtocolViolation(f"{self.name} got a stray cell batch")
-        if not rect_contains_cell(stg.region, p["coord"]):
-            raise ProtocolViolation(f"cell {p['coord']} outside {stg.region}")
-        stg.cells.append((p["coord"], p["cell"]))
-        stg.records.update(p["records"])
-
-    def finish_staging(self) -> None:
-        stg = self.staging
-        if stg is None:
-            raise ProtocolViolation(f"{self.name} got cells_done while not staging")
-        self.state.absorb_cells(stg)
-        self.staging = None
-        region_cells = frozenset(iter_region(stg.region))
-        for q in stg.queries.values():
-            crange = self.state.geom.cell_range(q.mbr)
-            if self.state.register_query(q, crange):
-                self.broadcast_own_registration(q)
-            self.after_register(q, crange, region_cells)
+    def absorb_region(self, p: dict) -> None:
+        """Adopt a CELL_BATCH's cells; refreshes from here on cover the region."""
+        self.epoch += 1
+        self.state.absorb_cells(CellBatch(p["region"], p["cells"], p["records"]))
         self.sys.send(self.name, self.sys.coordinator, MsgKind.REBALANCE_COMMAND,
-                      verb="absorbed", op_id=stg.op_id, tid=stg.tid)
+                      verb="absorbed", op_id=p["op_id"], tid=p["tid"])
 
     # -- cleaning -------------------------------------------------------------------
 
     def maybe_clean(self) -> None:
-        if (self.transient is not None or self.staging is not None
-                or self.state.bounds is None):
+        if self.transient is not None or self.state.bounds is None:
             return  # mid-transfer, or owning nothing
         budget = max(1, self.state.owned_cell_count() // 32)
         blocks = self.state.cleaning_step(self.sys.watermark(), budget)
@@ -956,14 +891,20 @@ class System:
     # -- transport ------------------------------------------------------------------
 
     def send(self, sender: str, receiver: str, kind: MsgKind, **payload) -> None:
-        """Queue a message; a DATA_OBJECT carries a batch and counts as its objects."""
+        """Queue a message; a DATA_OBJECT counts as its objects, a CELL_BATCH
+        as its cell snapshots (at least 1)."""
         key = (sender, receiver)
         chan = self.channels.get(key)
         if chan is None:
             chan = self.channels[key] = deque()
         seq = self._send_seq[key]
         self._send_seq[key] = seq + 1
-        size = len(payload["objs"]) if kind is MsgKind.DATA_OBJECT else 1
+        if kind is MsgKind.DATA_OBJECT:
+            size = len(payload["objs"])
+        elif kind is MsgKind.CELL_BATCH:
+            size = max(1, len(payload["cells"]))
+        else:
+            size = 1
         chan.append(Message(kind, payload, seq, size))
         depth = self._depth[key] + size
         self._depth[key] = depth

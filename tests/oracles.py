@@ -19,6 +19,21 @@ def scan_range_owners(cell_owner: np.ndarray, crange) -> set[int]:
     return set(int(v) for v in np.unique(cell_owner[x0 : x1 + 1, y0 : y1 + 1]))
 
 
+def effective_set(unit, pid: int, block: tuple[int, int] | None = None) -> frozenset[str]:
+    """Keywords a routing unit's gate forwards on at `pid` in `block`, or in
+    any block when None: the partition's pending keywords and block sets,
+    plus the source partition's under a premerge union view."""
+    out: set[str] = set(unit.kw_count.get(pid, ()))
+    blocks = unit.base.get(pid, {})
+    if block is None:
+        out.update(*blocks.values())
+    else:
+        out.update(blocks.get(block, ()))
+    if pid in unit.uview:
+        out |= effective_set(unit, unit.uview[pid], block)
+    return frozenset(out)
+
+
 def random_recursive_partitioning(rng: random.Random, n: int, m: int, parts: int):
     """Random guillotine tiling: repeatedly split a random splittable rect."""
     rects = [(0, 0, n - 1, m - 1)]

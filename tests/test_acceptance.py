@@ -17,6 +17,7 @@ from test_evaluator import full_cleaning_cycle, take_region
 from oracles import (
     SingleIndexOracle,
     cost_aggregates_from_cells,
+    effective_set,
     query_aggregates_from_cells,
     random_recursive_partitioning,
     scan_range_owners,
@@ -656,7 +657,7 @@ def _subset_run(queries, objects):
         s.ingest_object(o)
     s.drain()
     unit = s.workers["r0"].unit
-    sizes = {pid: len(unit.effective_set(pid)) for pid in s.pm}
+    sizes = {pid: len(effective_set(unit, pid)) for pid in s.pm}
     results = sorted((m.qid, m.oid, m.ts) for m in s.results)
     return results, s.counters["forwarded_objects"], sizes, dict(s.pm)
 

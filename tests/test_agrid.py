@@ -25,7 +25,12 @@ from skystream.agrid import (
 )
 from skystream.model import ContinuousQuery, Point, Predicate, Rect
 
-from oracles import pinwheel_partitioning, random_recursive_partitioning, scan_range_owners
+from oracles import (
+    effective_set,
+    pinwheel_partitioning,
+    random_recursive_partitioning,
+    scan_range_owners,
+)
 
 
 def make_query(qid=1, mbr=Rect(0.1, 0.1, 0.2, 0.2), text=("coffee",), predicate=Predicate.OVERLAPS, expiry=10**9):
@@ -367,8 +372,8 @@ class TestRouterSummaries:
         assert u.should_forward_object(frozenset({"tea"}), 0, (3, 3))
         assert not u.should_forward_object(frozenset({"tea"}), 0, (4, 3))  # block (1, 0)
         assert u.should_forward_object(frozenset({"rye"}), 0, (7, 7))  # the wildcard's block
-        assert u.effective_set(0, (1, 0)) == frozenset()
-        assert u.effective_set(0) == frozenset({"tea", ANY_KEYWORD})
+        assert effective_set(u, 0, (1, 0)) == frozenset()
+        assert effective_set(u, 0) == frozenset({"tea", ANY_KEYWORD})
         # a pending registration covers the whole partition until a refresh
         u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"tea"}))
         assert u.should_forward_object(frozenset({"tea"}), 0, (4, 3))
@@ -381,18 +386,18 @@ class TestRouterSummaries:
                                          Predicate.INSIDE, 10**9))
         # a forwarded entry from the other replica stays pending
         u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}))
-        before = u.effective_set(0)
+        before = effective_set(u, 0)
         # the evaluator has incorporated every registration of replica 0 and
         # reports a rebuilt set that still holds all of them
         assert u.apply_refresh(0, {(0, 0): before - {"mocha"}}, {("r", 0): 3}, 0)
         counts = u.kw_count[0]
         assert all(c > 0 for c in counts.values())
         assert counts == {"mocha": 1, "tea": 1}
-        assert u.effective_set(0) == before
+        assert effective_set(u, 0) == before
         # once the last pending entry is proven, nothing is left behind
         u.apply_refresh(0, {(0, 0): before}, {("r", 0): 3, ("r", 1): 0}, 0)
         assert u.kw_count[0] == {}
-        assert u.effective_set(0) == before
+        assert effective_set(u, 0) == before
 
 
 class TestRoutingUnit:
@@ -412,7 +417,7 @@ class TestRoutingUnit:
         q1 = make_query(qid=1)
         q2 = make_query(qid=2)
         def sets():
-            return {pid: u.effective_set(pid) for pid in u.grid.pm}
+            return {pid: effective_set(u, pid) for pid in u.grid.pm}
 
         empty = sets()
         u.register_query(q1)
@@ -428,11 +433,11 @@ class TestRoutingUnit:
         for pid, seq, kws in d.entries:
             b.apply_keyword_forward(a.origin, pid, seq, kws)
         for pid in d.targets:
-            assert a.effective_set(pid) == b.effective_set(pid)
+            assert effective_set(a, pid) == effective_set(b, pid)
         # A refresh stream applied to both keeps them identical.
         for unit in (a, b):
             unit.apply_refresh(0, {(0, 1): frozenset({"espresso", "beans"})}, {a.origin: 10}, 0)
-        assert a.effective_set(0) == b.effective_set(0)
+        assert effective_set(a, 0) == effective_set(b, 0)
 
     def test_object_filtering(self):
         u = self.unit()

@@ -108,7 +108,7 @@ def check_summary(ev: EvaluatorState) -> None:
 def take_region(ev: EvaluatorState, region) -> CellBatch:
     """Extract `region` from `ev` and return it as a transfer hands it over:
     a snapshot of each of its cells with content, and the record of every
-    query they index, the way `stream_next` streams them."""
+    query they index, the way a transfer's one CELL_BATCH carries them."""
     cells = [(c, ev.cells[c].copy()) for c in iter_region(region)
              if c in ev.cells and (ev.cells[c].cost or ev.cells[c].qids)]
     records = {qid: ev.registry[qid] for _, cell in cells for qid in cell.qids}

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import SingleIndexOracle, random_recursive_partitioning
+from oracles import SingleIndexOracle, effective_set, random_recursive_partitioning
 from test_evaluator import blocks_from_cells
 from skystream import agrid as agrid_mod
-from skystream.agrid import ANY_KEYWORD, SUMMARY_BLOCK, RoutingUnit
+from skystream.agrid import ANY_KEYWORD, SUMMARY_BLOCK, RoutingUnit, uniform_partitioning
+from skystream.evaluator import CellIndex, RegionMismatchError, iter_region
 from skystream.model import (
     ContinuousQuery,
     MatchResult,
@@ -334,7 +335,7 @@ class TestShiftRebalance:
         assert set(e1.state.registry) == {1}
         assert e0.forward_table == [((3, 0, 3, 7), "e1")]
         assert e1.epoch == 1
-        assert e0.transient is None and e1.staging is None
+        assert e0.transient is None
         coord = s.workers["r0"]
         assert coord.op is None and not coord.awaiting
 
@@ -373,11 +374,10 @@ class TestMidTransferForwarding:
         s = shift_fixture()
         s.trigger_stats()
         e0 = s.workers["e0"]
-        drain_until(s, lambda: e0.transient is not None and e0.transient.transmitted)
-        assert (3, 0) in e0.transient.transmitted
-        assert (3, 7) not in e0.transient.transmitted
+        drain_until(s, lambda: e0.transient is not None)
+        assert [m.kind for m in s.channels[("e0", "e1")]] == [MsgKind.CELL_BATCH]
 
-        # q2 overlaps a cell that already streamed out as a copy: it must be
+        # q2 overlaps a cell that already left as a copy: it must be
         # indexed locally and forwarded to the destination right away.
         s.ingest_query(mk_q(2, (3, 0, 3, 0), ["beta"]))
         for r in s.router_names:
@@ -390,18 +390,6 @@ class TestMidTransferForwarding:
         assert fwd[0].payload["query"].qid == 2
         assert 2 in e0.state.registry
 
-        # q3 overlaps only untransmitted cells: no immediate forward, the
-        # cell itself carries it over when it streams.
-        s.ingest_query(mk_q(3, (3, 7, 3, 7), ["beta"]))
-        for r in s.router_names:
-            s.step_channel("in", r)
-        for r in s.router_names:
-            s.step_channel(r, "e0")
-        fwd = [m for m in s.channels.get(("e0", "e1"), ())
-               if m.kind is MsgKind.FORWARDED_TUPLE]
-        assert len(fwd) == 1
-        assert 3 in e0.state.registry
-
         # a stats round completing mid-operation must not start a second op
         s.trigger_stats()
         s.drain()
@@ -410,7 +398,7 @@ class TestMidTransferForwarding:
         assert s.counters["rebalance_count"] == 1
 
         e1 = s.workers["e1"]
-        assert set(e1.state.registry) == {1, 2, 3}
+        assert set(e1.state.registry) == {1, 2}
         assert set(e0.state.registry) == {1}
         for rname in s.router_names:
             assert s.workers[rname].unit.should_forward_object(frozenset(["beta"]), 1, (3, 0))
@@ -420,8 +408,7 @@ class TestMidTransferForwarding:
         s.ingest_object(mk_o(911, (3, 7), ["beta"], 301))
         s.ingest_object(mk_o(912, (3, 3), ["alpha"], 302))
         s.drain()
-        assert sorted(map(tuple, s.results[n0:])) == [
-            (1, 912, 302), (2, 910, 300), (3, 911, 301)]
+        assert sorted(map(tuple, s.results[n0:])) == [(1, 912, 302), (2, 910, 300)]
 
 
 class TestAbortedRebalance:
@@ -499,6 +486,45 @@ class TestProtocolViolation:
                query=mk_q(2, (0, 0, 1, 1), ["beta"]), origin=origin, seq=seq)
         with pytest.raises(ProtocolViolation):
             s.drain()
+
+    def test_absorbed_while_no_op_runs_raises(self):
+        s = shift_fixture()
+        assert s.workers["r0"].op is None
+        s.send("e1", "r0", MsgKind.REBALANCE_COMMAND, verb="absorbed", op_id=1, tid=0)
+        with pytest.raises(ProtocolViolation):
+            s.drain()
+
+    def test_second_batch_for_a_held_region_raises(self):
+        s = shift_fixture()
+        batches = []
+        count_sends(s, lambda sender, receiver, kind, payload: batches.append(
+            (sender, receiver, payload)) if kind is MsgKind.CELL_BATCH else None)
+        s.trigger_stats()
+        e1 = s.workers["e1"]
+        drain_until(s, lambda: e1.state.bounds == (3, 0, 7, 7))
+        [(sender, receiver, payload)] = batches
+        s.send(sender, receiver, MsgKind.CELL_BATCH, **payload)
+        with pytest.raises(RegionMismatchError):
+            s.drain()
+
+
+class TestBatchCounting:
+    def test_a_batch_counts_its_objects_or_its_cell_snapshots(self):
+        s = small_system()
+        column = [((3, j), CellIndex()) for j in range(5)]
+        s.send("e0", "e1", MsgKind.CELL_BATCH, op_id=1, tid=0,
+               region=(3, 0, 3, 7), cells=column, records={})
+        s.send("e0", "e1", MsgKind.CELL_BATCH, op_id=1, tid=1,
+               region=(2, 0, 2, 7), cells=[], records={})
+        assert s.peak_channel_depth == 6  # five snapshots, and an empty batch counts 1
+        assert s.step_channel("e0", "e1") and s.delivered_total == 5
+        assert s.step_channel("e0", "e1") and s.delivered_total == 6
+        assert s.workers["e1"].state.bounds == (2, 0, 7, 7)
+
+        o = mk_o(1, (1, 1), ["w"], 1)
+        s.send("r0", "e0", MsgKind.DATA_OBJECT, objs=[(o, (1, 1))] * 7)
+        assert s.peak_channel_depth == 7
+        assert s.step_channel("r0", "e0") and s.delivered_total == 13
 
 
 class TestBatchAcrossAMigration:
@@ -865,7 +891,7 @@ class TestManyInterleavings:
             for rname in s.router_names:
                 unit = s.workers[rname].unit
                 for block, kws in want.items():
-                    have = unit.effective_set(pid, block)
+                    have = effective_set(unit, pid, block)
                     assert ANY_KEYWORD in have or kws <= have, (
                         f"router {rname} under-reports pid {pid} block {block}")
 
@@ -900,7 +926,7 @@ def test_block_summaries_keep_the_oracle_answer_mid_migration(monkeypatch):
         nonlocal block_drops
         forward = real(unit, o_text, pid, cell)
         if not forward:
-            wide = unit.effective_set(pid)  # what a per-partition set holds
+            wide = effective_set(unit, pid)  # what a per-partition set holds
             block_drops += ANY_KEYWORD in wide or bool(o_text & wide)
         return forward
 
@@ -1148,70 +1174,87 @@ def run_drifting(on_send=None, before=None):
     return s, sent, sorted(expected)
 
 
-# What run_drifting produced with one router keyword set per partition,
-# before cell snapshots replaced per-query re-registration, and since.
+# What run_drifting produces with one router keyword set per partition,
+# each transfer sending its region as one CELL_BATCH.
 PER_PARTITION_DIGEST = dict(
-    delivered_total=7884,
+    delivered_total=7112,
     sent={
-        "CellBatch": 384, "DataObject": 4476, "ForwardedTuple": 17,
-        "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
-        "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
+        "CellBatch": 18, "DataObject": 4475, "ForwardedTuple": 32,
+        "KeywordForward": 385, "PartitionUpdate": 30, "Query": 743,
+        "RebalanceCommand": 325, "StatsReport": 115, "SummaryRefresh": 46,
     },
     decisions=[
         (310, "shift_v", "2/0", 36, 2.06, 4.0),
-        (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
-        (1830, "shift_v", "0/2", 57, 0.52, 1.0),
-        (2112, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
-        (2414, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
-        (3311, "split_merge", "0/1/2/4", 121, 3.86, 3.2452830188679247),
-        (4226, "shift_v", "0/1", 161, 0.7000000000000001, 3.1964285714285716),
-        (7216, "split_merge", "3/4/2/1", 242, 4.58, 4.0),
+        (610, "split_merge", "2/4/3/1", 39, 2.52, 2.2028985507246377),
+        (915, "shift_v", "0/2", 41, 0.42, 2.1132075471698113),
+        (1512, "shift_v", "0/2", 2, 1.1400000000000001, 3.6455696202531644),
+        (2111, "shift_v", "0/2", 120, 0.54, 3.5042735042735043),
+        (2711, "split_merge", "0/1/2/4", 41, 7.4, 3.2275862068965515),
+        (3014, "shift_corner", "2/1", 52, 1.62, 2.966666666666667),
+        (3313, "shift_h", "1/3", 283, 2.98, 3.6470588235294117),
+        (3613, "shift_v", "2/0", 110, 0.36, 3.0185185185185186),
+        (4210, "shift_h", "3/1", 179, 1.0, 4.0),
+        (4825, "shift_h", "3/1", 70, 0.9, 3.742857142857143),
+        (5113, "shift_corner", "1/2", 34, 1.12, 3.9245283018867925),
+        (6313, "split_merge", "3/4/1/0", 106, 5.54, 4.0),
+        (6613, "shift_v", "1/2", 341, 1.36, 3.9389312977099236),
+        (6912, "shift_v", "3/4", 163, 0.88, 4.0),
     ],
     alphas=[
-        4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
-        3.967479674796748, 3.4455445544554455, 3.0689655172413794,
-        2.9714285714285715, 3.2452830188679247, 3.391304347826087,
-        3.6744186046511627, 3.1964285714285716, 2.3703703703703702,
-        2.909090909090909, 2.3646408839779007, 2.419753086419753,
-        3.965217391304348, 4.0, 3.9611650485436893, 4.0, 4.0, 4.0, 4.0, 1.0,
+        4.0, 2.2028985507246377, 2.1132075471698113, 1.6923076923076923,
+        3.6455696202531644, 3.4439461883408073, 3.5042735042735043,
+        2.962962962962963, 3.2275862068965515, 2.966666666666667,
+        3.6470588235294117, 3.0185185185185186, 2.6875, 4.0, 3.774011299435028,
+        3.742857142857143, 3.9245283018867925, 4.0, 4.0, 4.0, 4.0,
+        3.9389312977099236, 4.0,
     ],
     counters={
-        "candidates": 3542, "dropped_by_summary": 1,
-        "forwarded_objects": 2399, "rebalance_count": 8,
+        "candidates": 3574, "dropped_by_summary": 1, "forwarded_objects": 2399,
+        "rebalance_count": 15,
     },
 )
 
-# The same run with 4 x 4-cell summary blocks: 16 more objects are dropped
+# The same run with 4 x 4-cell summary blocks: more objects are dropped
 # at the routers, which shifts the delivery ticks, and with them the
 # stats rounds' windows and the later ops' figures; the matches are the same.
 PER_BLOCK_DIGEST = dict(
-    delivered_total=7869,
+    delivered_total=7001,
     sent={
-        "CellBatch": 384, "DataObject": 4461, "ForwardedTuple": 18,
-        "KeywordForward": 393, "PartitionUpdate": 16, "Query": 751,
-        "RebalanceCommand": 1366, "StatsReport": 130, "SummaryRefresh": 28,
+        "CellBatch": 20, "DataObject": 4448, "ForwardedTuple": 28,
+        "KeywordForward": 385, "PartitionUpdate": 36, "Query": 743,
+        "RebalanceCommand": 351, "StatsReport": 115, "SummaryRefresh": 48,
     },
     decisions=[
         (310, "shift_v", "2/0", 36, 2.06, 4.0),
-        (1213, "split_merge", "2/4/3/1", 88, 2.5, 2.206060606060606),
-        (1829, "shift_v", "0/2", 57, 0.52, 1.0),
-        (2116, "shift_v", "0/2", 30, 1.1400000000000001, 3.967479674796748),
-        (2413, "shift_v", "0/2", 20, 0.9400000000000001, 3.4455445544554455),
-        (3316, "split_merge", "0/1/2/4", 128, 3.86, 3.2771084337349397),
-        (4223, "shift_v", "0/1", 161, 0.7000000000000001, 3.1780821917808217),
-        (7219, "split_merge", "3/4/2/1", 252, 4.54, 4.0),
+        (611, "split_merge", "2/4/3/1", 39, 2.52, 2.1870503597122304),
+        (912, "shift_v", "0/2", 41, 0.42, 2.055045871559633),
+        (1512, "shift_v", "0/2", 8, 1.1400000000000001, 3.948717948717949),
+        (2112, "shift_v", "0/2", 121, 0.54, 3.5166666666666666),
+        (2713, "split_merge", "0/1/2/4", 53, 7.32, 3.286624203821656),
+        (3013, "shift_corner", "2/1", 51, 1.52, 2.991869918699187),
+        (3310, "shift_h", "1/3", 281, 2.96, 3.6616915422885574),
+        (3613, "shift_v", "2/0", 110, 0.36, 2.957345971563981),
+        (3914, "shift_h", "3/1", 12, 1.5, 3.090909090909091),
+        (4213, "shift_corner", "1/2", 31, 1.1, 3.769633507853403),
+        (4513, "shift_corner", "3/2", 3, 0.06, 3.745664739884393),
+        (4825, "shift_h", "3/1", 127, 0.92, 3.6853932584269664),
+        (5112, "shift_h", "1/0", 164, 0.58, 4.0),
+        (5413, "shift_h", "3/1", 21, 0.9, 3.9646017699115044),
+        (5712, "shift_h", "1/0", 91, 0.6, 4.0),
+        (6311, "shift_h", "3/1", 124, 0.7000000000000001, 4.0),
+        (6610, "shift_h", "3/1", 75, 0.56, 4.0),
     ],
     alphas=[
-        4.0, 4.0, 4.0, 2.206060606060606, 2.1666666666666665, 1.0,
-        3.967479674796748, 3.4455445544554455, 3.0689655172413794,
-        2.9714285714285715, 3.2771084337349397, 3.3684210526315788, 3.68,
-        3.1780821917808217, 2.3448275862068964, 2.954954954954955,
-        2.346368715083799, 2.4, 3.965217391304348, 4.0, 3.9607843137254903,
-        4.0, 4.0, 4.0, 4.0, 1.0,
+        4.0, 2.1870503597122304, 2.055045871559633, 1.6603773584905661,
+        3.948717948717949, 3.4414414414414414, 3.5166666666666666, 2.88,
+        3.286624203821656, 2.991869918699187, 3.6616915422885574,
+        2.957345971563981, 3.090909090909091, 3.769633507853403,
+        3.745664739884393, 3.6853932584269664, 4.0, 3.9646017699115044, 4.0,
+        3.9452054794520546, 4.0, 4.0, 4.0,
     ],
     counters={
-        "candidates": 3545, "dropped_by_summary": 17,
-        "forwarded_objects": 2383, "rebalance_count": 8,
+        "candidates": 3574, "dropped_by_summary": 30, "forwarded_objects":
+        2370, "rebalance_count": 18,
     },
 )
 
@@ -1249,87 +1292,75 @@ class TestAdaptiveRunDigest:
 
 
 class TestRecordsTravelOnce:
-    def test_each_record_crosses_once_and_arrives_before_cells_done(self):
-        seen: dict[tuple, set] = {}  # (op_id, tid) -> qids whose record was sent
-        snapshots = 0
+    def test_each_transfer_sends_its_region_in_one_batch(self):
+        started: set[tuple] = set()  # (op_id, tid) of every begin_transfer
+        batches: Counter = Counter()  # (op_id, tid) -> CELL_BATCH messages
+        box = {}
 
         def on_send(sender, receiver, kind, payload):
-            nonlocal snapshots
+            if kind is MsgKind.REBALANCE_COMMAND and payload["verb"] == "begin_transfer":
+                started.add((payload["op_id"], payload["tid"]))
             if kind is not MsgKind.CELL_BATCH:
                 return
-            snapshots += 1
-            sent = seen.setdefault((payload["op_id"], payload["tid"]), set())
-            again = sent & set(payload["records"])
-            assert not again, f"records {again} sent twice in one transfer"
-            sent |= set(payload["records"])
+            batches[payload["op_id"], payload["tid"]] += 1
+            cells = box["s"].workers[sender].state.cells  # the source still holds them
+            want = [c for c in iter_region(payload["region"])
+                    if c in cells and (cells[c].cost or cells[c].qids)]
+            assert [c for c, _ in payload["cells"]] == want
+            for c, snap in payload["cells"]:
+                assert snap is not cells[c]
+                assert (snap.cost, snap.qids) == (cells[c].cost, cells[c].qids)
+            indexed = set().union(*(snap.qids for _, snap in payload["cells"]))
+            assert set(payload["records"]) == indexed
 
-        staged = 0
-
-        def check_staging(s):
-            for name in s.evaluator_names:
-                w = s.workers[name]
-                finish = w.finish_staging
-
-                def checked(w=w, finish=finish):
-                    nonlocal staged
-                    stg = w.staging
-                    for coord, cell in stg.cells:
-                        missing = cell.qids - set(stg.records)
-                        assert not missing, f"{w.name} has no record for {missing} at {coord}"
-                    staged += 1
-                    finish()
-
-                w.finish_staging = checked
-
-        s, _, expected = run_drifting(on_send, before=check_staging)
+        s, _, expected = run_drifting(on_send, before=lambda s: box.update(s=s))
         assert s.counters["rebalance_count"] >= 3
-        assert staged >= 3 and snapshots > 0
+        assert set(batches) == started
+        assert set(batches.values()) == {1}
         assert sorted_results(s) == expected
 
-    def test_queries_registering_on_transmitted_cells_match_at_dst(self):
+    def test_query_registering_after_the_batch_matches_at_dst(self):
         s = shift_fixture()
-        q1 = s.workers["e0"].state.registry[1]
-        records: list[set] = []
-        count_sends(s, lambda sender, receiver, kind, payload: records.append(
-            set(payload["records"])) if kind is MsgKind.CELL_BATCH else None)
+        batches: list[dict] = []
+        forwards: list[tuple] = []
+
+        def on_send(sender, receiver, kind, payload):
+            if kind is MsgKind.CELL_BATCH:
+                batches.append(payload)
+            elif kind is MsgKind.FORWARDED_TUPLE and payload["inner"] == "query":
+                forwards.append((sender, receiver, payload["query"].qid, payload["cells"]))
+
+        count_sends(s, on_send)
         s.trigger_stats()
         e0, e1 = s.workers["e0"], s.workers["e1"]
-        drain_until(s, lambda: e0.transient is not None and len(e0.transient.transmitted) >= 2)
-        assert {(3, 0), (3, 1)} <= e0.transient.transmitted
-        assert 1 in e0.transient.sent_records  # q1 travelled with (3, 0)
+        drain_until(s, lambda: e0.transient is not None)
+        [batch] = batches
+        assert batch["region"] == (3, 0, 3, 7)
+        assert set(batch["records"]) == {1}
 
-        # q2 registers on two transmitted cells, which a forward covers, and
-        # on six that have not streamed yet, whose snapshots carry its record
+        # q2 registers at the source over the whole region after the batch
+        # left: the source indexes it and forwards it once, for every cell
         s.ingest_query(mk_q(2, (3, 0, 3, 7), ["beta"]))
         for r in s.router_names:
             s.step_channel("in", r)
         for r in s.router_names:
             s.step_channel(r, "e0")
         assert 2 in e0.state.registry
-        # q1 arrives at the source again after its record was sent: it is
-        # forwarded for the transmitted cells, and no second record crosses
-        s.send("r1", "e0", MsgKind.QUERY, query=q1, origin=None, seq=0)
-        s.step_channel("r1", "e0")
-        fwd = [m.payload["query"].qid for m in s.channels[("e0", "e1")]
-               if m.kind is MsgKind.FORWARDED_TUPLE]
-        assert fwd == [2, 1]
+        column = tuple((3, j) for j in range(8))
+        assert forwards == [("e0", "e1", 2, column)]
         s.drain()
 
         assert s.counters["rebalance_count"] == 1
-        assert [sorted(r) for r in records if r] == [[1], [2]]
+        assert len(batches) == 1 and forwards == [("e0", "e1", 2, column)]
         assert set(e1.state.registry) == {1, 2}
-        assert all(e1.state.cells[(3, j)].qids == {1, 2} for j in range(8))
+        assert all(e1.state.cells[c].qids == {1, 2} for c in column)
         n0 = len(s.results)
-        s.ingest_object(mk_o(920, (3, 0), ["beta"], 400))   # q2 by forward
-        s.ingest_object(mk_o(921, (3, 6), ["beta"], 401))   # q2 by snapshot
-        s.ingest_object(mk_o(922, (3, 1), ["alpha"], 402))  # q1 by snapshot
+        s.ingest_object(mk_o(920, (3, 0), ["beta"], 400))
+        s.ingest_object(mk_o(921, (3, 6), ["beta"], 401))
+        s.ingest_object(mk_o(922, (3, 1), ["alpha"], 402))
         s.drain()
         assert sorted(map(tuple, s.results[n0:])) == [
             (1, 922, 402), (2, 920, 400), (2, 921, 401)]
-
-
-# ---------------------------------------------------------------------------
-# alternative distribution modes against the same oracle
 
 
 class TestOtherModes:
@@ -1482,3 +1513,21 @@ class TestConfig:
         cfg = SystemConfig(grid_n=4, grid_m=4, evaluators=2)
         with pytest.raises(ValueError):
             System(cfg, pm={0: (0, 0, 1, 3), 5: (2, 0, 3, 3)})
+
+    @pytest.mark.parametrize("mode", sorted(WORKERS))
+    @pytest.mark.parametrize("n, m", [(0, 64), (64, 0), (-1, 8)])
+    def test_grid_needs_a_cell_on_each_side(self, mode, n, m):
+        with pytest.raises(ValueError):
+            SystemConfig(grid_n=n, grid_m=m, mode=mode)
+
+    @pytest.mark.parametrize("n, m, k", [(2, 2, 8), (3, 3, 7), (1, 4, 5)])
+    def test_uniform_tiles_must_fit_the_grid(self, n, m, k):
+        with pytest.raises(ValueError, match="cannot carve"):
+            uniform_partitioning(n, m, k)
+        with pytest.raises(ValueError, match="cannot carve"):
+            System(SystemConfig(grid_n=n, grid_m=m, evaluators=k))
+
+    def test_uniform_tiles_down_to_one_cell(self):
+        s = System(SystemConfig(grid_n=3, grid_m=3, evaluators=9))
+        assert sorted(s.pm.values()) == sorted((i, j, i, j) for i in range(3) for j in range(3))
+        assert len(uniform_partitioning(2, 8, 8)) == 8
