@@ -16,7 +16,7 @@ cells and each discovered partition pushes at most two, bounding pops by
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 from math import ceil, floor
 
@@ -38,6 +38,7 @@ __all__ = [
     "SUMMARY_BLOCK",
     "summary_block",
     "block_cells",
+    "block_range",
     "summary_contribution",
     "RoutingUnit",
     "full_edge_neighbors",
@@ -270,8 +271,11 @@ class AGrid:
                 stack.append(rc)
         return result, pops
 
-    def neighbor_search(self, rect: Rect) -> list[int]:
-        return self.neighbor_search_cells(self.cell_range(rect))[0]
+    def neighbor_search(self, rect: Rect, crange: CellRect | None = None) -> list[int]:
+        """Partitions overlapping `rect`; `crange` is its cell range when the caller has it."""
+        if crange is None:
+            crange = self.cell_range(rect)
+        return self.neighbor_search_cells(crange)[0]
 
 
 # -- partition geometry ----------------------------------------------------
@@ -336,17 +340,23 @@ def mergeable_pairs(pm: dict[int, CellRect]) -> list[tuple[int, int]]:
 
 
 def uniform_partitioning(n: int, m: int, k: int) -> dict[int, CellRect]:
-    """k near-square uniform tiles, the spatial-only routing baseline."""
-    best = (1, k)
-    for r in range(1, int(math.isqrt(k)) + 1):
+    """k near-square uniform tiles, the spatial-only routing baseline.
+
+    Tries the factor pairs of k from the most square one outward, each as
+    rows x cols and then swapped, and carves the first whose tiles fit.
+    """
+    if k < 1:
+        raise ValueError(f"cannot carve {k} uniform partitions")
+    for r in range(math.isqrt(k), 0, -1):
         if k % r == 0:
-            best = (r, k // r)
-    rows, cols = best
-    if cols > n or rows > m:
-        rows, cols = cols, rows
-    if cols > n or rows > m:
-        raise ValueError(f"cannot carve {k} uniform partitions from a grid of {n} x {m} cells")
-    xs =np.linspace(0, n, cols + 1, dtype=int)
+            for rows, cols in ((r, k // r), (k // r, r)):
+                if cols <= n and rows <= m:
+                    return _tiles(n, m, rows, cols)
+    raise ValueError(f"cannot carve {k} uniform partitions from a grid of {n} x {m} cells")
+
+
+def _tiles(n: int, m: int, rows: int, cols: int) -> dict[int, CellRect]:
+    xs = np.linspace(0, n, cols + 1, dtype=int)
     ys = np.linspace(0, m, rows + 1, dtype=int)
     pm: dict[int, CellRect] = {}
     pid = 0
@@ -395,6 +405,12 @@ def block_cells(block: tuple[int, int]) -> CellRect:
     return (x0, y0, x0 + SUMMARY_BLOCK - 1, y0 + SUMMARY_BLOCK - 1)
 
 
+def block_range(crange: CellRect) -> CellRect:
+    """The summary blocks a cell range overlaps, as inclusive block bounds."""
+    b = SUMMARY_BLOCK
+    return (crange[0] // b, crange[1] // b, crange[2] // b, crange[3] // b)
+
+
 def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
     """Keywords a query adds to its partitions' summaries.
 
@@ -414,6 +430,10 @@ def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
 # The block sets of a partition no refresh has reached; never written.
 _NO_BLOCKS: dict[tuple[int, int], frozenset[str]] = {}
 
+# Pending block ranges by keyword: one block range, or a list of them when
+# several pending entries hold the keyword.
+BlockRanges = CellRect | list[CellRect]
+
 
 @dataclass
 class RoutingDecision:
@@ -421,6 +441,19 @@ class RoutingDecision:
 
     targets: list[int]
     entries: list[tuple[int, int, frozenset[str]]]  # (pid, seq, contribution)
+    blocks: CellRect  # the summary blocks the query's range overlaps
+
+
+class PendingEntries:
+    """One origin's registrations at one partition that no refresh has
+    covered yet, in seq order: entry i has seq `head + i`. An origin's seqs
+    per partition are consecutive and arrive in order over one FIFO channel."""
+
+    __slots__ = ("head", "entries")
+
+    def __init__(self, head: int):
+        self.head = head
+        self.entries: deque[tuple[frozenset[str], CellRect]] = deque()
 
 
 class RoutingUnit:
@@ -433,14 +466,15 @@ class RoutingUnit:
     block depends on has to be present, or objects get dropped and matches
     silently lost. Refreshes from the evaluator's cleaning cycle replace the
     partition's block sets, so every registration is also held as a pending
-    entry, per partition rather than per block, until a refresh's
+    entry, with the block range of the query's cells, until a refresh's
     per-origin watermark proves the evaluator incorporated it; the gate
-    forwards on a keyword that either the block's set or the partition's
-    pending entries hold. Refreshes from a transfer destination are ignored
-    until their epoch shows the absorbed cells (see runtime), and from
-    premerge until then the destination's summary unions the source's,
-    block by block. A partition that a map update retired keeps its sets
-    while such a union view reads them, and loses them when the view ends.
+    forwards on a keyword that either the block's set holds or a pending
+    entry whose range covers the block. Refreshes from a transfer
+    destination are ignored until their epoch shows the absorbed cells (see
+    runtime), and from premerge until then the destination's summary unions
+    the source's, block by block. A partition that a map update retired
+    keeps its sets while such a union view reads them, and loses them when
+    the view ends.
 
     Transport-free; the runtime wraps this with channels. Replicas converge
     because they all apply the same registrations (their own plus forwarded
@@ -453,13 +487,14 @@ class RoutingUnit:
         self.reg_seq: dict[int, int] = {}  # pid -> queries this unit sent there
         # pid -> block -> keywords, as the partition's last refresh carried them
         self.base: dict[int, dict[tuple[int, int], frozenset[str]]] = {}
-        # pid -> origin -> OrderedDict(seq -> contribution)
-        self.regs: dict[int, dict[tuple, OrderedDict]] = {}
-        # pid -> keyword -> pending entries contributing it; positive counts only
-        self.kw_count: dict[int, dict[str, int]] = {}
+        # pid -> origin -> its pending entries
+        self.pending: dict[int, dict[tuple, PendingEntries]] = {}
+        # pid -> keyword -> block ranges of the pending entries holding it
+        self.pending_kw: dict[int, dict[str, BlockRanges]] = {}
         self.expected_epoch: dict[int, int] = {}
         self.uview: dict[int, int] = {}  # premerged dst -> src
         self.retired: set[int] = set()  # pids a map update removed and none restored
+        self.pending_forwards = 0  # objects forwarded only on a pending entry
 
     @property
     def origin(self) -> tuple:
@@ -477,29 +512,57 @@ class RoutingUnit:
                               cell: tuple[int, int]) -> bool:
         """Whether an object with keywords `o_text` in `cell` could match a query at `pid`.
 
-        Reads `pid`'s set for the cell's block and its pending entries, then,
-        under a premerge union view, the source partition's.
+        Reads `pid`'s set for the cell's block, then the pending entries
+        whose range covers the block; under a premerge union view, the
+        source partition's too.
         """
         block = summary_block(cell)
-        p = pid
-        while p is not None:
-            base = self.base.get(p, _NO_BLOCKS).get(block, ())
-            counts = self.kw_count.get(p, ())
-            if ANY_KEYWORD in base or ANY_KEYWORD in counts:
+        src = self.uview.get(pid)
+        base = self.base.get(pid, _NO_BLOCKS).get(block, ())
+        if ANY_KEYWORD in base or not o_text.isdisjoint(base):
+            return True
+        if src is not None:
+            base = self.base.get(src, _NO_BLOCKS).get(block, ())
+            if ANY_KEYWORD in base or not o_text.isdisjoint(base):
                 return True
-            for kw in o_text:
-                if kw in base or kw in counts:
+        if (self._pending_covers(self.pending_kw.get(pid), o_text, block)
+                or src is not None
+                and self._pending_covers(self.pending_kw.get(src), o_text, block)):
+            self.pending_forwards += 1
+            return True
+        return False
+
+    @staticmethod
+    def _pending_covers(index: dict[str, BlockRanges] | None, o_text: frozenset[str],
+                        block: tuple[int, int]) -> bool:
+        """Whether a pending entry of `index` covering `block` holds the
+        wildcard or a keyword of `o_text`."""
+        if not index:
+            return False
+        bx, by = block
+        for ranges in map(index.get, (ANY_KEYWORD, *o_text)):
+            if ranges is None:
+                continue
+            if type(ranges) is tuple:
+                if ranges[0] <= bx <= ranges[2] and ranges[1] <= by <= ranges[3]:
                     return True
-            p = self.uview.get(pid) if p == pid else None
+                continue
+            for r in ranges:
+                if r[0] <= bx <= r[2] and r[1] <= by <= r[3]:
+                    return True
         return False
 
     def register_query(self, q: ContinuousQuery) -> RoutingDecision:
         """Route a query: pick target partitions, update summaries.
 
         Returns the decision, including the per-target (seq, contribution)
-        entries that must be forwarded to the other replicas.
+        entries and the block range that must be forwarded to the other
+        replicas.
         """
-        targets = self.grid.neighbor_search(q.mbr)
+        grid = self.grid
+        crange = grid.cell_range(q.mbr)
+        targets = grid.neighbor_search(q.mbr, crange)
+        blocks = block_range(crange)
         contribution = summary_contribution(q)
         entries: list[tuple[int, int, frozenset[str]]] = []
         origin = self.origin
@@ -508,23 +571,38 @@ class RoutingUnit:
         for pid in targets:
             seq = reg_seq.get(pid, 0)
             reg_seq[pid] = seq + 1
-            add_entry(pid, origin, seq, contribution)
+            add_entry(pid, origin, seq, contribution, blocks)
             entries.append((pid, seq, contribution))
-        return RoutingDecision(targets, entries)
+        return RoutingDecision(targets, entries, blocks)
 
     # -- summary maintenance ------------------------------------------------
 
-    def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str]) -> None:
-        self._add_entry(pid, origin, seq, kws)
+    def apply_keyword_forward(self, origin: tuple, pid: int, seq: int, kws: frozenset[str],
+                              blocks: CellRect) -> None:
+        self._add_entry(pid, origin, seq, kws, blocks)
 
-    def _add_entry(self, pid: int, origin: tuple, seq: int, kws: frozenset[str]) -> None:
-        per_origin = self.regs.setdefault(pid, {}).setdefault(origin, OrderedDict())
-        if seq in per_origin:
-            return
-        per_origin[seq] = kws
-        counts = self.kw_count.setdefault(pid, {})
-        for kw in kws:
-            counts[kw] = counts.get(kw, 0) + 1
+    def _add_entry(self, pid: int, origin: tuple, seq: int, kws: frozenset[str],
+                   blocks: CellRect) -> None:
+        per_pid = self.pending.get(pid)
+        if per_pid is None:
+            per_pid = self.pending[pid] = {}
+        pend = per_pid.get(origin)
+        if pend is None:
+            pend = per_pid[origin] = PendingEntries(seq)
+        elif not pend.entries:
+            pend.head = seq
+        else:
+            nxt = pend.head + len(pend.entries)
+            if seq != nxt:
+                if pend.head <= seq < nxt:
+                    return  # already pending
+                raise ValueError(f"registration seq {seq} from {origin} at {pid}, "
+                                 f"expected {nxt}")
+        pend.entries.append((kws, blocks))
+        index = self.pending_kw.get(pid)
+        if index is None:
+            index = self.pending_kw[pid] = {}
+        _index_entry(index, kws, blocks)
 
     def apply_refresh(self, pid: int, blocks: dict[tuple[int, int], frozenset[str]],
                       vector: dict[tuple, int], epoch: int) -> bool:
@@ -534,26 +612,39 @@ class RoutingUnit:
         if epoch < expected:
             return False
         self.base[pid] = blocks
-        counts = self.kw_count.get(pid)
-        for origin, entries in self.regs.get(pid, {}).items():
-            seen = vector.get(origin, -1)
-            while entries:
-                seq, contrib = next(iter(entries.items()))
-                if seq > seen:
-                    break
-                del entries[seq]
-                for kw in contrib:
-                    left = counts[kw] - 1
-                    if left:
-                        counts[kw] = left
+        per_pid = self.pending.get(pid)
+        if per_pid:
+            pruned = False
+            for origin, pend in per_pid.items():
+                entries = pend.entries
+                k = min(vector.get(origin, -1) - pend.head + 1, len(entries))
+                if k > 0:
+                    pruned = True
+                    pend.head += k
+                    if k == len(entries):
+                        entries.clear()
                     else:
-                        del counts[kw]
+                        for _ in range(k):
+                            entries.popleft()
+            if pruned:
+                self._reindex(pid)
         if epoch == expected:
             src = self.uview.pop(pid, None)
             if src in self.retired:
                 # the union view was the last live reference to it
                 self._drop(src)
         return True
+
+    def _reindex(self, pid: int) -> None:
+        """Rebuild `pid`'s keyword index from its remaining pending entries."""
+        index: dict[str, BlockRanges] = {}
+        for pend in self.pending[pid].values():
+            for kws, blocks in pend.entries:
+                _index_entry(index, kws, blocks)
+        if index:
+            self.pending_kw[pid] = index
+        else:
+            self.pending_kw.pop(pid, None)
 
     def premerge(self, dst: int, src: int) -> None:
         self.uview[dst] = src
@@ -563,11 +654,23 @@ class RoutingUnit:
         """Forget a retired partition's sets; its epoch counter stays, since
         a later reuse of the same id must continue from it."""
         self.base.pop(pid, None)
-        self.regs.pop(pid, None)
-        self.kw_count.pop(pid, None)
+        self.pending.pop(pid, None)
+        self.pending_kw.pop(pid, None)
         self.uview.pop(pid, None)
 
     def apply_partition_update(self, pm: dict[int, CellRect], generation: int) -> None:
         self.retired |= set(self.grid.pm) - set(pm)
         self.retired -= set(pm)
         self.grid.apply_update(pm, generation)
+
+
+def _index_entry(index: dict[str, BlockRanges], kws: frozenset[str], blocks: CellRect) -> None:
+    """Add one pending entry's block range under each of its keywords."""
+    for kw in kws:
+        ranges = index.get(kw)
+        if ranges is None:
+            index[kw] = blocks
+        elif type(ranges) is tuple:
+            index[kw] = [ranges, blocks]
+        else:
+            ranges.append(blocks)

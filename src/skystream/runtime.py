@@ -31,7 +31,8 @@ A summary refresh, the periodic one at the end of a cleaning cycle and the
 flush alike, carries the evaluator's keyword set per summary block
 (`agrid.summary_block`) and the registration seqs it has seen per origin;
 routers gate each object on its block's set, plus the keywords of the
-partition's registrations that no refresh has covered yet.
+partition's registrations that no refresh has covered yet and whose block
+range covers the object's block.
 
 The coordinator advances an op when every ack it awaits has arrived (absorbed
 and extracted per transfer, then pm_ack per router, then refresh_ack per
@@ -60,6 +61,7 @@ from .agrid import (
     OutOfWorldError,
     RoutingUnit,
     WORLD,
+    block_range,
     rect_contains_cell,
     rect_intersect,
     summary_contribution,
@@ -252,7 +254,8 @@ class RouterWorker:
         elif msg.kind is MsgKind.QUERY:
             self.route_query(p["query"])
         elif msg.kind is MsgKind.KEYWORD_FORWARD:
-            self.unit.apply_keyword_forward(p["origin"], p["pid"], p["seq"], p["kws"])
+            self.unit.apply_keyword_forward(p["origin"], p["pid"], p["seq"], p["kws"],
+                                            p["blocks"])
         elif msg.kind is MsgKind.SUMMARY_REFRESH:
             self.apply_refresh(p)
         elif msg.kind is MsgKind.PARTITION_UPDATE:
@@ -321,13 +324,15 @@ class RouterWorker:
                 sys.send(self.name, f"e{pid}", MsgKind.QUERY, query=q, origin=None, seq=0)
             return
         origin = self.unit.origin
-        for pid, seq, kws in self.unit.register_query(q).entries:
+        decision = self.unit.register_query(q)
+        for pid, seq, kws in decision.entries:
             sys.send(self.name, f"e{pid}", MsgKind.QUERY,
                      query=q, origin=origin, seq=seq)
             for other in sys.router_names:
                 if other != self.name:
                     sys.send(self.name, other, MsgKind.KEYWORD_FORWARD,
-                             origin=origin, pid=pid, seq=seq, kws=kws)
+                             origin=origin, pid=pid, seq=seq, kws=kws,
+                             blocks=decision.blocks)
 
     # -- summary and map maintenance -------------------------------------------------
 
@@ -592,7 +597,7 @@ class EvaluatorWorker:
                                cells: tuple | None) -> None:
         crange = self.state.geom.cell_range(q.mbr)
         if self.state.register_query(q, crange):
-            self.broadcast_own_registration(q)
+            self.broadcast_own_registration(q, crange)
         chase = None if cells is None else frozenset(cells)
         self.after_register(q, crange, chase)
 
@@ -637,15 +642,18 @@ class EvaluatorWorker:
             sys.send(self.name, peer, MsgKind.FORWARDED_TUPLE,
                      inner="query", query=q, cells=tuple(cs))
 
-    def broadcast_own_registration(self, q: ContinuousQuery) -> None:
-        """Re-registered queries join the summaries under this evaluator's name."""
+    def broadcast_own_registration(self, q: ContinuousQuery, crange: CellRect) -> None:
+        """Re-registered queries join the summaries under this evaluator's
+        name, over the blocks of their cell range `crange`."""
         kws = summary_contribution(q)
+        blocks = block_range(crange)
         seq = self.own_seq
         self.own_seq += 1
         self.reg_seen[self.origin] = seq
         for rname in self.sys.router_names:
             self.sys.send(self.name, rname, MsgKind.KEYWORD_FORWARD,
-                          origin=self.origin, pid=self.index, seq=seq, kws=kws)
+                          origin=self.origin, pid=self.index, seq=seq, kws=kws,
+                          blocks=blocks)
 
     # -- transfer protocol -------------------------------------------------------------
 

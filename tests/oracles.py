@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 
+from skystream.agrid import ANY_KEYWORD
 from skystream.model import ContinuousQuery, SpatialKeywordObject, matches
 
 
@@ -21,9 +22,14 @@ def scan_range_owners(cell_owner: np.ndarray, crange) -> set[int]:
 
 def effective_set(unit, pid: int, block: tuple[int, int] | None = None) -> frozenset[str]:
     """Keywords a routing unit's gate forwards on at `pid` in `block`, or in
-    any block when None: the partition's pending keywords and block sets,
-    plus the source partition's under a premerge union view."""
-    out: set[str] = set(unit.kw_count.get(pid, ()))
+    any block when None: the block sets and the keywords of the pending
+    entries whose block range covers the block, plus the source partition's
+    under a premerge union view. Reads the entries, not the keyword index."""
+    out: set[str] = set()
+    for pend in unit.pending.get(pid, {}).values():
+        for kws, (bx0, by0, bx1, by1) in pend.entries:
+            if block is None or (bx0 <= block[0] <= bx1 and by0 <= block[1] <= by1):
+                out |= kws
     blocks = unit.base.get(pid, {})
     if block is None:
         out.update(*blocks.values())
@@ -32,6 +38,21 @@ def effective_set(unit, pid: int, block: tuple[int, int] | None = None) -> froze
     if pid in unit.uview:
         out |= effective_set(unit, unit.uview[pid], block)
     return frozenset(out)
+
+
+def pending_gate_forwards(entries, o_text: frozenset[str], cell: tuple[int, int],
+                          side: int) -> bool:
+    """Whether pending registrations `entries`, (keywords, cell range) pairs,
+    forward an object with keywords `o_text` in `cell`: some entry has a
+    cell in the same side x side block as `cell`, and holds the wildcard or
+    one of the object's keywords. Scans every cell of every range."""
+    block = (cell[0] // side, cell[1] // side)
+    for kws, (x0, y0, x1, y1) in entries:
+        near = any((i // side, j // side) == block
+                   for i in range(x0, x1 + 1) for j in range(y0, y1 + 1))
+        if near and (ANY_KEYWORD in kws or kws & o_text):
+            return True
+    return False
 
 
 def random_recursive_partitioning(rng: random.Random, n: int, m: int, parts: int):

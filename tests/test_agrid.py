@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from skystream.agrid import (
     ANY_KEYWORD,
+    WILDCARD,
     AGrid,
     EmptyIntersectionError,
     GridGeometry,
     NoOverlapError,
     OutOfWorldError,
     RoutingUnit,
+    SUMMARY_BLOCK,
     TilingError,
     WORLD,
+    block_range,
     corner_shift_candidates,
     dump_partitioning,
     full_edge_neighbors,
@@ -27,6 +30,7 @@ from skystream.model import ContinuousQuery, Point, Predicate, Rect
 
 from oracles import (
     effective_set,
+    pending_gate_forwards,
     pinwheel_partitioning,
     random_recursive_partitioning,
     scan_range_owners,
@@ -264,6 +268,13 @@ class TestPartitionGeometry:
             assert len(pm) == k
             AGrid(20, 20, pm)  # validates
 
+    @pytest.mark.parametrize("n, m, k", [(1, 4, 4), (1, 6, 6), (4, 1, 4)])
+    def test_uniform_partitioning_tries_every_factor_pair(self, n, m, k):
+        # the near-square pair fits neither way round; a strip of cells does
+        pm = uniform_partitioning(n, m, k)
+        assert sorted(pm.values()) == sorted((i, j, i, j) for i in range(n) for j in range(m))
+        AGrid(n, m, pm)
+
     def test_full_edge_neighbors(self):
         pm = {0: (0, 0, 1, 3), 1: (2, 0, 3, 3), 2: (4, 0, 5, 1), 3: (4, 2, 5, 3)}
         assert full_edge_neighbors(pm, 0) == [(1, "right")]
@@ -327,12 +338,13 @@ def summary_unit() -> RoutingUnit:
 
 
 CELL = (1, 2)  # any cell of summary_unit's grid
+ONE_BLOCK = (0, 0, 0, 0)  # the block range of every query on summary_unit's grid
 
 
 class TestRouterSummaries:
     def test_entry_survives_refresh_until_watermarked(self):
         u = summary_unit()
-        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}), ONE_BLOCK)
         assert u.should_forward_object(frozenset({"coffee"}), 0, CELL)
         # Refresh built before the evaluator saw the registration: keyword stays.
         assert u.apply_refresh(0, {}, {("r", 0): -1}, 0)
@@ -344,7 +356,7 @@ class TestRouterSummaries:
 
     def test_refresh_keeps_live_keywords(self):
         u = summary_unit()
-        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}), ONE_BLOCK)
         u.apply_refresh(0, {(0, 0): frozenset({"coffee"})}, {("r", 0): 0}, 0)
         assert u.should_forward_object(frozenset({"coffee"}), 0, CELL)
         assert not u.should_forward_object(frozenset({"tea"}), 0, CELL)
@@ -352,7 +364,7 @@ class TestRouterSummaries:
     def test_epoch_gating_discards_stale_destination_refresh(self):
         u = summary_unit()
         u.premerge(dst=1, src=0)
-        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}))
+        u.apply_keyword_forward(("r", 0), 0, 0, frozenset({"coffee"}), ONE_BLOCK)
         # Destination refresh built before it absorbed the moved cells.
         assert not u.apply_refresh(1, {}, {}, 0)
         assert u.should_forward_object(frozenset({"coffee"}), 1, CELL)  # union view holds
@@ -363,7 +375,7 @@ class TestRouterSummaries:
 
     def test_wildcard_forwards_everything(self):
         u = summary_unit()
-        u.apply_keyword_forward(("r", 1), 2, 0, frozenset({ANY_KEYWORD}))
+        u.apply_keyword_forward(("r", 1), 2, 0, frozenset({ANY_KEYWORD}), ONE_BLOCK)
         assert u.should_forward_object(frozenset({"whatever"}), 2, CELL)
 
     def test_gate_reads_the_block_of_the_objects_cell(self):
@@ -374,9 +386,12 @@ class TestRouterSummaries:
         assert u.should_forward_object(frozenset({"rye"}), 0, (7, 7))  # the wildcard's block
         assert effective_set(u, 0, (1, 0)) == frozenset()
         assert effective_set(u, 0) == frozenset({"tea", ANY_KEYWORD})
-        # a pending registration covers the whole partition until a refresh
-        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"tea"}))
+        # a pending registration opens only the blocks of its range
+        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"tea"}), (1, 0, 1, 0))
         assert u.should_forward_object(frozenset({"tea"}), 0, (4, 3))
+        assert not u.should_forward_object(frozenset({"tea"}), 0, (0, 4))  # block (0, 1)
+        assert effective_set(u, 0, (1, 0)) == frozenset({"tea"})
+        assert effective_set(u, 0, (0, 1)) == frozenset()
 
     def test_counts_hold_only_pending_contributions(self):
         u = summary_unit()
@@ -385,19 +400,77 @@ class TestRouterSummaries:
         u.register_query(ContinuousQuery(9, Rect(0.1, 0.1, 0.2, 0.2), frozenset(),
                                          Predicate.INSIDE, 10**9))
         # a forwarded entry from the other replica stays pending
-        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}))
+        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}), ONE_BLOCK)
         before = effective_set(u, 0)
+        assert u.pending_kw[0]["tea"] == [ONE_BLOCK] * 3  # two from replica 0
         # the evaluator has incorporated every registration of replica 0 and
         # reports a rebuilt set that still holds all of them
         assert u.apply_refresh(0, {(0, 0): before - {"mocha"}}, {("r", 0): 3}, 0)
-        counts = u.kw_count[0]
-        assert all(c > 0 for c in counts.values())
-        assert counts == {"mocha": 1, "tea": 1}
+        assert u.pending_kw[0] == {"mocha": ONE_BLOCK, "tea": ONE_BLOCK}
+        assert [len(p.entries) for p in u.pending[0].values()] == [0, 1]
         assert effective_set(u, 0) == before
         # once the last pending entry is proven, nothing is left behind
         u.apply_refresh(0, {(0, 0): before}, {("r", 0): 3, ("r", 1): 0}, 0)
-        assert u.kw_count[0] == {}
+        assert 0 not in u.pending_kw
+        assert [len(p.entries) for p in u.pending[0].values()] == [0, 0]
         assert effective_set(u, 0) == before
+
+    def test_query_range_across_a_block_edge_opens_both_blocks(self):
+        u = RoutingUnit(0, AGrid(8, 8, {0: (0, 0, 7, 7)}))  # four summary blocks
+        # cells x 3..4 of row 2 sit on both sides of the edge at x = 4
+        q = make_query(mbr=Rect(0.4, 0.3, 0.55, 0.35), text=("tea",))
+        assert u.grid.cell_range(q.mbr) == (3, 2, 4, 2)
+        assert u.register_query(q).blocks == (0, 0, 1, 0)
+        assert u.should_forward_object(frozenset({"tea"}), 0, (0, 0))
+        assert u.should_forward_object(frozenset({"tea"}), 0, (7, 3))
+        assert not u.should_forward_object(frozenset({"tea"}), 0, (3, 4))
+        assert not u.should_forward_object(frozenset({"tea"}), 0, (7, 7))
+        assert not u.should_forward_object(frozenset({"mocha"}), 0, (3, 2))
+        assert u.pending_forwards == 2
+
+    def test_union_view_reads_the_source_entries_of_the_block(self):
+        u = RoutingUnit(0, AGrid(8, 8, {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}))
+        u.premerge(dst=1, src=0)
+        u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"tea"}), (0, 1, 0, 1))
+        u.apply_keyword_forward(("e", 0), 0, 0, WILDCARD, (1, 0, 1, 0))
+        # the source's entries gate the destination in their own blocks only
+        assert u.should_forward_object(frozenset({"tea"}), 1, (2, 5))
+        assert not u.should_forward_object(frozenset({"tea"}), 1, (5, 5))
+        assert u.should_forward_object(frozenset({"rye"}), 1, (5, 2))
+        assert not u.should_forward_object(frozenset({"rye"}), 1, (2, 2))
+        assert effective_set(u, 1, (1, 0)) == WILDCARD
+        # the destination's post-absorb refresh ends the view
+        assert u.apply_refresh(1, {}, {}, 1)
+        assert not u.should_forward_object(frozenset({"rye"}), 1, (5, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gate_without_refresh_matches_the_pending_oracle(self, data):
+        n = data.draw(st.integers(1, 14), "n")
+        m = data.draw(st.integers(1, 14), "m")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        pm = random_recursive_partitioning(rng, n, m, rng.randint(1, 4))
+        a = RoutingUnit(0, AGrid(n, m, pm))
+        b = RoutingUnit(1, AGrid(n, m, pm))  # gets every entry forwarded
+        words = ["tea", "rye", "jam", "oat"]
+        entries: dict[int, list] = {pid: [] for pid in pm}  # pid -> (keywords, cell range)
+        for qid in range(data.draw(st.integers(0, 8), "queries")):
+            pred = rng.choice(list(Predicate))
+            text = frozenset(rng.sample(words, rng.randint(1, 2)))
+            x0, y0 = rng.random(), rng.random()
+            mbr = Rect(x0, y0, x0 + rng.uniform(0.01, 0.6), y0 + rng.uniform(0.01, 0.6))
+            q = ContinuousQuery(qid, mbr, text, pred, 10**9)
+            d = a.register_query(q)
+            for pid, seq, kws in d.entries:
+                b.apply_keyword_forward(a.origin, pid, seq, kws, d.blocks)
+                entries[pid].append((kws, a.grid.cell_range(mbr)))
+        for _ in range(30):
+            cell = (rng.randrange(n), rng.randrange(m))
+            pid = a.grid.owner_of(cell)
+            text = frozenset(rng.sample(words, rng.randint(0, 2)))
+            want = pending_gate_forwards(entries[pid], text, cell, SUMMARY_BLOCK)
+            assert a.should_forward_object(text, pid, cell) == want
+            assert b.should_forward_object(text, pid, cell) == want
 
 
 class TestRoutingUnit:
@@ -431,7 +504,7 @@ class TestRoutingUnit:
         q = make_query(mbr=Rect(0.0, 0.8, 0.9, 0.95), text=("espresso", "beans"))
         d = a.register_query(q)
         for pid, seq, kws in d.entries:
-            b.apply_keyword_forward(a.origin, pid, seq, kws)
+            b.apply_keyword_forward(a.origin, pid, seq, kws, d.blocks)
         for pid in d.targets:
             assert effective_set(a, pid) == effective_set(b, pid)
         # A refresh stream applied to both keeps them identical.

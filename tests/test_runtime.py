@@ -665,8 +665,8 @@ class TestSplitMerge:
             assert unit.expected_epoch[1] == 1
             # the retired partition's summary state is gone for good
             assert 2 not in unit.base
-            assert 2 not in unit.regs
-            assert 2 not in unit.kw_count
+            assert 2 not in unit.pending
+            assert 2 not in unit.pending_kw
             assert unit.should_forward_object(frozenset(["alpha"]), 3, (0, 2))
             assert unit.should_forward_object(frozenset(["beta"]), 1, (0, 4))
             assert unit.should_forward_object(frozenset(["gamma"]), 1, (4, 4))
@@ -782,6 +782,29 @@ class TestCleaningAndRefresh:
         s.drain()
         assert s.counters["dropped_by_summary"] == before + 1
         assert (2, 999, 400) not in set(map(tuple, s.results))
+
+
+class TestPendingBlockRanges:
+    def test_evaluator_origin_entry_opens_only_its_blocks(self):
+        cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=4, seed=1,
+                           stats_cadence=BIG, clean_interval=BIG)
+        s = System(cfg)
+        assert s.pm[0] == (0, 0, 7, 7)
+        e0 = s.workers["e0"]
+        q = mk_q(7, (1, 1, 5, 2), ["tea"], n=16, m=16)
+        e0.broadcast_own_registration(q, e0.state.geom.cell_range(q.mbr))
+        s.drain()
+        for rname in s.router_names:
+            unit = s.workers[rname].unit
+            [pend] = unit.pending[0].values()
+            assert (pend.head, list(pend.entries)) == (0, [(frozenset({"tea"}), (0, 0, 1, 0))])
+            assert unit.should_forward_object(frozenset({"tea"}), 0, (6, 3))
+            assert not unit.should_forward_object(frozenset({"tea"}), 0, (2, 5))
+        s.ingest_object(mk_o(1, (2, 5), ["tea"], 1, n=16, m=16))
+        s.ingest_object(mk_o(2, (6, 3), ["tea"], 2, n=16, m=16))
+        s.drain()
+        assert s.counters["dropped_by_summary"] == 1
+        assert s.counters["forwarded_objects"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1000,14 +1023,21 @@ def test_block_summaries_keep_the_oracle_answer_mid_migration(monkeypatch):
 # bounded state over a long adaptive run
 
 
-def pending_contributions(unit, pid):
-    """Keyword counts of a router's pending entries for `pid`."""
-    want: dict[str, int] = {}
-    for entries in unit.regs.get(pid, {}).values():
-        for kws in entries.values():
+def pending_index(unit, pid):
+    """A router's pending keyword index for `pid`, rebuilt from its entries:
+    keyword -> the sorted block ranges of the entries holding it."""
+    want: dict[str, list] = {}
+    for pend in unit.pending.get(pid, {}).values():
+        for kws, blocks in pend.entries:
             for kw in kws:
-                want[kw] = want.get(kw, 0) + 1
-    return want
+                want.setdefault(kw, []).append(blocks)
+    return {kw: sorted(ranges) for kw, ranges in want.items()}
+
+
+def indexed_ranges(unit, pid):
+    """The index as `pending_index` shapes it: a lone range becomes a list."""
+    return {kw: sorted([r] if type(r) is tuple else r)
+            for kw, r in unit.pending_kw.get(pid, {}).items()}
 
 
 def run_soak(clean_interval, after_drain=None, before=None):
@@ -1054,7 +1084,7 @@ def run_soak(clean_interval, after_drain=None, before=None):
 
 
 def pending_entries(unit, pid):
-    return sum(len(e) for e in unit.regs.get(pid, {}).values())
+    return sum(len(p.entries) for p in unit.pending.get(pid, {}).values())
 
 
 class TestBoundedState:
@@ -1064,15 +1094,18 @@ class TestBoundedState:
             assert not s._ingested
             for rname in s.router_names:
                 unit = s.workers[rname].unit
-                for pid in set(unit.kw_count) | set(unit.regs):
-                    assert (unit.kw_count.get(pid, {})
-                            == pending_contributions(unit, pid)), (phase, rname, pid)
+                for pid in set(unit.pending_kw) | set(unit.pending):
+                    assert (indexed_ranges(unit, pid)
+                            == pending_index(unit, pid)), (phase, rname, pid)
+                    assert all(type(r) is list and len(r) > 1
+                               for r in unit.pending_kw.get(pid, {}).values()
+                               if type(r) is not tuple), (phase, rname, pid)
 
         s = run_soak(clean_interval=4, after_drain=check)
         assert s.counters["rebalance_count"] >= 3
         # refreshes did prune: far fewer entries are pending than were registered
         unit = s.workers["r0"].unit
-        pending = sum(pending_entries(unit, pid) for pid in unit.regs)
+        pending = sum(pending_entries(unit, pid) for pid in unit.pending)
         registered = sum(sum(s.workers[r].unit.reg_seq.values()) for r in s.router_names)
         assert pending < registered // 2
 
@@ -1214,47 +1247,47 @@ PER_PARTITION_DIGEST = dict(
     },
 )
 
-# The same run with 4 x 4-cell summary blocks: more objects are dropped
-# at the routers, which shifts the delivery ticks, and with them the
-# stats rounds' windows and the later ops' figures; the matches are the same.
+# The same run with 4 x 4-cell summary blocks, and pending entries that open
+# only the blocks of their query's range: more objects are dropped at the
+# routers, which shifts the delivery ticks, and with them the stats rounds'
+# windows and the later ops' figures; the matches are the same.
 PER_BLOCK_DIGEST = dict(
-    delivered_total=7001,
+    delivered_total=6946,
     sent={
-        "CellBatch": 20, "DataObject": 4448, "ForwardedTuple": 28,
+        "CellBatch": 20, "DataObject": 4394, "ForwardedTuple": 27,
         "KeywordForward": 385, "PartitionUpdate": 36, "Query": 743,
         "RebalanceCommand": 351, "StatsReport": 115, "SummaryRefresh": 48,
     },
     decisions=[
-        (310, "shift_v", "2/0", 36, 2.06, 4.0),
-        (611, "split_merge", "2/4/3/1", 39, 2.52, 2.1870503597122304),
+        (313, "shift_v", "2/0", 37, 2.06, 4.0),
+        (610, "split_merge", "2/4/3/1", 39, 2.52, 2.1739130434782608),
         (912, "shift_v", "0/2", 41, 0.42, 2.055045871559633),
         (1512, "shift_v", "0/2", 8, 1.1400000000000001, 3.948717948717949),
         (2112, "shift_v", "0/2", 121, 0.54, 3.5166666666666666),
-        (2713, "split_merge", "0/1/2/4", 53, 7.32, 3.286624203821656),
-        (3013, "shift_corner", "2/1", 51, 1.52, 2.991869918699187),
-        (3310, "shift_h", "1/3", 281, 2.96, 3.6616915422885574),
-        (3613, "shift_v", "2/0", 110, 0.36, 2.957345971563981),
-        (3914, "shift_h", "3/1", 12, 1.5, 3.090909090909091),
-        (4213, "shift_corner", "1/2", 31, 1.1, 3.769633507853403),
-        (4513, "shift_corner", "3/2", 3, 0.06, 3.745664739884393),
-        (4825, "shift_h", "3/1", 127, 0.92, 3.6853932584269664),
-        (5112, "shift_h", "1/0", 164, 0.58, 4.0),
-        (5413, "shift_h", "3/1", 21, 0.9, 3.9646017699115044),
+        (2712, "split_merge", "0/1/2/4", 52, 7.32, 3.286624203821656),
+        (3012, "shift_corner", "2/1", 51, 1.52, 3.0),
+        (3311, "shift_h", "1/3", 281, 2.96, 3.6633663366336635),
+        (3615, "shift_v", "2/0", 110, 0.36, 2.958139534883721),
+        (3910, "shift_h", "3/1", 11, 1.5, 3.032258064516129),
+        (4211, "shift_corner", "1/2", 31, 1.1, 3.6633663366336635),
+        (4513, "shift_corner", "3/2", 3, 0.24, 3.7942857142857145),
+        (4825, "shift_h", "3/1", 96, 0.78, 3.574468085106383),
+        (5115, "shift_h", "1/0", 164, 0.58, 3.9245283018867925),
+        (5410, "shift_h", "3/1", 4, 0.92, 4.0),
         (5712, "shift_h", "1/0", 91, 0.6, 4.0),
-        (6311, "shift_h", "3/1", 124, 0.7000000000000001, 4.0),
-        (6610, "shift_h", "3/1", 75, 0.56, 4.0),
+        (6315, "shift_h", "3/1", 128, 0.66, 4.0),
+        (6610, "shift_h", "3/1", 101, 0.54, 4.0),
     ],
     alphas=[
-        4.0, 2.1870503597122304, 2.055045871559633, 1.6603773584905661,
+        4.0, 2.1739130434782608, 2.055045871559633, 1.6603773584905661,
         3.948717948717949, 3.4414414414414414, 3.5166666666666666, 2.88,
-        3.286624203821656, 2.991869918699187, 3.6616915422885574,
-        2.957345971563981, 3.090909090909091, 3.769633507853403,
-        3.745664739884393, 3.6853932584269664, 4.0, 3.9646017699115044, 4.0,
-        3.9452054794520546, 4.0, 4.0, 4.0,
+        3.286624203821656, 3.0, 3.6633663366336635, 2.958139534883721,
+        3.032258064516129, 3.6633663366336635, 3.7942857142857145,
+        3.574468085106383, 3.9245283018867925, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0,
     ],
     counters={
-        "candidates": 3574, "dropped_by_summary": 30, "forwarded_objects":
-        2370, "rebalance_count": 18,
+        "candidates": 3521, "dropped_by_summary": 90, "forwarded_objects": 2310,
+        "rebalance_count": 18,
     },
 )
 
@@ -1381,7 +1414,7 @@ class TestOtherModes:
                             stats_cadence=BIG, clean_interval=16)
         for rname in s.router_names:
             unit = s.workers[rname].unit
-            assert unit.regs == {} and unit.kw_count == {}
+            assert unit.pending == {} and unit.pending_kw == {}
 
     def test_textual_mode_matches_oracle(self):
         queries, objects = build_workload(keyword_only=True)
@@ -1519,6 +1552,10 @@ class TestConfig:
     def test_grid_needs_a_cell_on_each_side(self, mode, n, m):
         with pytest.raises(ValueError):
             SystemConfig(grid_n=n, grid_m=m, mode=mode)
+
+    def test_uniform_tiles_in_one_strip(self):
+        s = System(SystemConfig(grid_n=1, grid_m=4, evaluators=4, mode="uniform"))
+        assert sorted(s.pm.values()) == [(0, j, 0, j) for j in range(4)]
 
     @pytest.mark.parametrize("n, m, k", [(2, 2, 8), (3, 3, 7), (1, 4, 5)])
     def test_uniform_tiles_must_fit_the_grid(self, n, m, k):
