@@ -19,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from math import ceil, floor
+from typing import Iterator
 
 import numpy as np
 
@@ -430,9 +431,10 @@ def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
 # The block sets of a partition no refresh has reached; never written.
 _NO_BLOCKS: dict[tuple[int, int], frozenset[str]] = {}
 
-# Pending block ranges by keyword: one block range, or a list of them when
-# several pending entries hold the keyword.
-BlockRanges = CellRect | list[CellRect]
+# The blocks a keyword's pending entries cover: the block range of its one
+# entry, or, when several hold it, a bitmask with bit by * row_blocks + bx
+# set for each covered block (bx, by).
+PendingBlocks = CellRect | int
 
 
 @dataclass
@@ -446,14 +448,22 @@ class RoutingDecision:
 
 class PendingEntries:
     """One origin's registrations at one partition that no refresh has
-    covered yet, in seq order: entry i has seq `head + i`. An origin's seqs
-    per partition are consecutive and arrive in order over one FIFO channel."""
+    covered yet, in seq order: entry i has seq `head + i`, keywords
+    `kws[i]` and block range `blocks[i]`. An origin's seqs per partition are
+    consecutive and arrive in order over one FIFO channel."""
 
-    __slots__ = ("head", "entries")
+    __slots__ = ("head", "kws", "blocks")
 
     def __init__(self, head: int):
         self.head = head
-        self.entries: deque[tuple[frozenset[str], CellRect]] = deque()
+        self.kws: deque[frozenset[str]] = deque()
+        self.blocks: deque[CellRect] = deque()
+
+    def __len__(self) -> int:
+        return len(self.kws)
+
+    def __iter__(self) -> Iterator[tuple[frozenset[str], CellRect]]:
+        return zip(self.kws, self.blocks)
 
 
 class RoutingUnit:
@@ -489,8 +499,9 @@ class RoutingUnit:
         self.base: dict[int, dict[tuple[int, int], frozenset[str]]] = {}
         # pid -> origin -> its pending entries
         self.pending: dict[int, dict[tuple, PendingEntries]] = {}
-        # pid -> keyword -> block ranges of the pending entries holding it
-        self.pending_kw: dict[int, dict[str, BlockRanges]] = {}
+        # pid -> keyword -> blocks the pending entries holding it cover
+        self.pending_kw: dict[int, dict[str, PendingBlocks]] = {}
+        self.row_blocks = (grid.n - 1) // SUMMARY_BLOCK + 1  # blocks per grid row
         self.expected_epoch: dict[int, int] = {}
         self.uview: dict[int, int] = {}  # premerged dst -> src
         self.retired: set[int] = set()  # pids a map update removed and none restored
@@ -516,40 +527,30 @@ class RoutingUnit:
         whose range covers the block; under a premerge union view, the
         source partition's too.
         """
-        block = summary_block(cell)
+        side = SUMMARY_BLOCK  # summary_block, inlined: once per object
+        bx = cell[0] // side
+        by = cell[1] // side
+        block = (bx, by)
+        base = self.base.get(pid, _NO_BLOCKS).get(block)
+        if base is not None and (ANY_KEYWORD in base or not o_text.isdisjoint(base)):
+            return True
         src = self.uview.get(pid)
-        base = self.base.get(pid, _NO_BLOCKS).get(block, ())
-        if ANY_KEYWORD in base or not o_text.isdisjoint(base):
-            return True
         if src is not None:
-            base = self.base.get(src, _NO_BLOCKS).get(block, ())
-            if ANY_KEYWORD in base or not o_text.isdisjoint(base):
+            base = self.base.get(src, _NO_BLOCKS).get(block)
+            if base is not None and (ANY_KEYWORD in base or not o_text.isdisjoint(base)):
                 return True
-        if (self._pending_covers(self.pending_kw.get(pid), o_text, block)
-                or src is not None
-                and self._pending_covers(self.pending_kw.get(src), o_text, block)):
-            self.pending_forwards += 1
-            return True
-        return False
-
-    @staticmethod
-    def _pending_covers(index: dict[str, BlockRanges] | None, o_text: frozenset[str],
-                        block: tuple[int, int]) -> bool:
-        """Whether a pending entry of `index` covering `block` holds the
-        wildcard or a keyword of `o_text`."""
-        if not index:
-            return False
-        bx, by = block
-        for ranges in map(index.get, (ANY_KEYWORD, *o_text)):
-            if ranges is None:
-                continue
-            if type(ranges) is tuple:
-                if ranges[0] <= bx <= ranges[2] and ranges[1] <= by <= ranges[3]:
-                    return True
-                continue
-            for r in ranges:
-                if r[0] <= bx <= r[2] and r[1] <= by <= r[3]:
-                    return True
+        pending_kw = self.pending_kw
+        for p in (pid, src):
+            index = pending_kw.get(p)
+            if index:
+                bit = by * self.row_blocks + bx
+                for kw in (*o_text, ANY_KEYWORD):
+                    held = index.get(kw)
+                    if held is not None and (
+                            held[0] <= bx <= held[2] and held[1] <= by <= held[3]
+                            if type(held) is tuple else held >> bit & 1):
+                        self.pending_forwards += 1
+                        return True
         return False
 
     def register_query(self, q: ContinuousQuery) -> RoutingDecision:
@@ -589,20 +590,21 @@ class RoutingUnit:
         pend = per_pid.get(origin)
         if pend is None:
             pend = per_pid[origin] = PendingEntries(seq)
-        elif not pend.entries:
+        elif not pend.kws:
             pend.head = seq
         else:
-            nxt = pend.head + len(pend.entries)
+            nxt = pend.head + len(pend.kws)
             if seq != nxt:
                 if pend.head <= seq < nxt:
                     return  # already pending
                 raise ValueError(f"registration seq {seq} from {origin} at {pid}, "
                                  f"expected {nxt}")
-        pend.entries.append((kws, blocks))
+        pend.kws.append(kws)
+        pend.blocks.append(blocks)
         index = self.pending_kw.get(pid)
         if index is None:
             index = self.pending_kw[pid] = {}
-        _index_entry(index, kws, blocks)
+        _index_entry(index, kws, blocks, self.row_blocks)
 
     def apply_refresh(self, pid: int, blocks: dict[tuple[int, int], frozenset[str]],
                       vector: dict[tuple, int], epoch: int) -> bool:
@@ -616,16 +618,18 @@ class RoutingUnit:
         if per_pid:
             pruned = False
             for origin, pend in per_pid.items():
-                entries = pend.entries
-                k = min(vector.get(origin, -1) - pend.head + 1, len(entries))
+                kws, blocks = pend.kws, pend.blocks
+                k = min(vector.get(origin, -1) - pend.head + 1, len(kws))
                 if k > 0:
                     pruned = True
                     pend.head += k
-                    if k == len(entries):
-                        entries.clear()
+                    if k == len(kws):
+                        kws.clear()
+                        blocks.clear()
                     else:
                         for _ in range(k):
-                            entries.popleft()
+                            kws.popleft()
+                            blocks.popleft()
             if pruned:
                 self._reindex(pid)
         if epoch == expected:
@@ -637,10 +641,11 @@ class RoutingUnit:
 
     def _reindex(self, pid: int) -> None:
         """Rebuild `pid`'s keyword index from its remaining pending entries."""
-        index: dict[str, BlockRanges] = {}
+        index: dict[str, PendingBlocks] = {}
+        row_blocks = self.row_blocks
         for pend in self.pending[pid].values():
-            for kws, blocks in pend.entries:
-                _index_entry(index, kws, blocks)
+            for kws, blocks in pend:
+                _index_entry(index, kws, blocks, row_blocks)
         if index:
             self.pending_kw[pid] = index
         else:
@@ -664,13 +669,26 @@ class RoutingUnit:
         self.grid.apply_update(pm, generation)
 
 
-def _index_entry(index: dict[str, BlockRanges], kws: frozenset[str], blocks: CellRect) -> None:
+def _index_entry(index: dict[str, PendingBlocks], kws: frozenset[str], blocks: CellRect,
+                 row_blocks: int) -> None:
     """Add one pending entry's block range under each of its keywords."""
+    mask = None
     for kw in kws:
-        ranges = index.get(kw)
-        if ranges is None:
+        held = index.get(kw)
+        if held is None:
             index[kw] = blocks
-        elif type(ranges) is tuple:
-            index[kw] = [ranges, blocks]
-        else:
-            ranges.append(blocks)
+            continue
+        if mask is None:
+            mask = _block_mask(blocks, row_blocks)
+        index[kw] = (_block_mask(held, row_blocks) if type(held) is tuple else held) | mask
+
+
+def _block_mask(blocks: CellRect, row_blocks: int) -> int:
+    """The bitmask of a block range, bit by * row_blocks + bx per block."""
+    bx0, by0, bx1, by1 = blocks
+    row = ((2 << (bx1 - bx0)) - 1) << (by0 * row_blocks + bx0)
+    mask = 0
+    for _ in range(by1 - by0 + 1):
+        mask |= row
+        row <<= row_blocks
+    return mask

@@ -417,18 +417,27 @@ class EvaluatorState:
         cells = self.cells
         registry = self.registry
         detach = self._detach
-        for k in range(start, end):
-            coord = (x0 + k % width, y0 + k // width)
-            cell = cells.get(coord)
-            if cell is None:
-                continue
-            expired = [qid for qid in cell.qids if registry[qid].expiry < watermark]
-            if expired:
-                for qid in expired:
-                    detach(qid, cell, coord)
-                self._stale.add(summary_block(coord))
-            if not cell.qids and not cell.cost:
-                del cells[coord]
+        k = start
+        while k < end:  # row by row
+            row, i0 = divmod(k, width)
+            i1 = min(width, i0 + end - k)
+            k += i1 - i0
+            y = y0 + row
+            for x in range(x0 + i0, x0 + i1):
+                coord = (x, y)
+                cell = cells.get(coord)
+                if cell is None:
+                    continue
+                qids = cell.qids
+                for qid in qids:
+                    if registry[qid].expiry < watermark:  # list them all, then detach
+                        expired = [q for q in qids if registry[q].expiry < watermark]
+                        for gone in expired:
+                            detach(gone, cell, coord)
+                        self._stale.add(summary_block(coord))
+                        break
+                if not cell.qids and not cell.cost:
+                    del cells[coord]
 
     def cleaning_step(self, watermark: int,
                       budget: int) -> dict[tuple[int, int], frozenset[str]] | None:

@@ -41,6 +41,9 @@ router and destination); any other ack is a ProtocolViolation.
 Objects move in batches: what was ingested since the last delivery goes to
 each router as one DATA_OBJECT, and a router sends each evaluator one
 DATA_OBJECT of (object, cell) pairs. Workers still act object by object.
+That DATA_OBJECT also carries how many objects the router's gate dropped for
+the evaluator since its last one; the evaluator advances its cleaning clock
+by them, so a gate that drops more does not evict later.
 Delivery counts and channel depths count a batch of k objects or k cell
 snapshots as k.
 """
@@ -233,6 +236,9 @@ class RouterWorker:
         if system.pm:
             self.unit = RoutingUnit(index, AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm)))
         self.use_summaries = system.use_summaries
+        # evaluator -> objects the gate dropped for it since the last
+        # DATA_OBJECT to it, which carries the count on
+        self.owed: dict[str, int] = {}
         # coordinator state, used on replica 0 only
         self.op: RebalanceOp | None = None
         self.op_id = 0
@@ -295,11 +301,14 @@ class RouterWorker:
             return None, []
         if self.use_summaries and not self.unit.should_forward_object(o.text, pid, cell):
             sys.counters["dropped_by_summary"] += 1
+            ename = sys.evaluator_names[pid]
+            self.owed[ename] = self.owed.get(ename, 0) + 1
             return None, []
         return cell, [f"e{pid}"]
 
     def route_objects(self, objs: list[SpatialKeywordObject]) -> None:
-        """Route a batch; each evaluator gets one batch of (object, cell) in ingest order."""
+        """Route a batch; each evaluator gets one batch of (object, cell) in
+        ingest order, with the count of objects the gate dropped for it."""
         sys = self.sys
         batches: defaultdict[str, list] = defaultdict(list)
         forwarded = 0
@@ -312,8 +321,10 @@ class RouterWorker:
             for ename in targets:
                 batches[ename].append((o, cell))
             forwarded += len(targets)
+        owed = self.owed
         for ename, batch in batches.items():
-            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch)
+            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch,
+                     skipped=owed.pop(ename, 0))
         sys.counters["forwarded_objects"] += forwarded
 
     def route_query(self, q: ContinuousQuery) -> None:
@@ -504,7 +515,8 @@ class EvaluatorWorker:
         self.transient: TransientState | None = None
         self.forward_table: list[tuple[CellRect, str]] = []
         self.window_cost = 0
-        self.delivered = 0
+        self.delivered = 0  # the cleaning clock
+        self.clean_interval = cfg.clean_interval
 
     @property
     def origin(self) -> tuple:
@@ -517,10 +529,15 @@ class EvaluatorWorker:
         if msg.kind is MsgKind.DATA_OBJECT:
             # each object counts as one delivery, so cleaning runs between
             # the same objects whatever the batching
+            if p["skipped"]:
+                self.count_skipped(p["skipped"])
             handle_object = self.handle_object
+            interval = self.clean_interval
             for o, cell in p["objs"]:
                 handle_object(o, cell)
-                self.count_delivery()
+                self.delivered += 1  # count_delivery, inlined: once per object
+                if self.delivered % interval == 0:
+                    self.maybe_clean()
             return
         if msg.kind is MsgKind.QUERY:
             self.handle_query(p["query"], p["origin"], p["seq"])
@@ -539,7 +556,17 @@ class EvaluatorWorker:
 
     def count_delivery(self) -> None:
         self.delivered += 1
-        if self.delivered % self.sys.cfg.clean_interval == 0:
+        if self.delivered % self.clean_interval == 0:
+            self.maybe_clean()
+
+    def count_skipped(self, k: int) -> None:
+        """Advance the cleaning clock by `k` objects that routers dropped for
+        this partition, so cleaning keeps pace with the objects routed here
+        rather than only with those delivered."""
+        interval = self.clean_interval
+        before = self.delivered
+        self.delivered = before + k
+        for _ in range(self.delivered // interval - before // interval):
             self.maybe_clean()
 
     # -- objects --------------------------------------------------------------------

@@ -27,7 +27,7 @@ def effective_set(unit, pid: int, block: tuple[int, int] | None = None) -> froze
     under a premerge union view. Reads the entries, not the keyword index."""
     out: set[str] = set()
     for pend in unit.pending.get(pid, {}).values():
-        for kws, (bx0, by0, bx1, by1) in pend.entries:
+        for kws, (bx0, by0, bx1, by1) in pend:
             if block is None or (bx0 <= block[0] <= bx1 and by0 <= block[1] <= by1):
                 out |= kws
     blocks = unit.base.get(pid, {})

@@ -402,17 +402,17 @@ class TestRouterSummaries:
         # a forwarded entry from the other replica stays pending
         u.apply_keyword_forward(("r", 1), 0, 0, frozenset({"mocha", "tea"}), ONE_BLOCK)
         before = effective_set(u, 0)
-        assert u.pending_kw[0]["tea"] == [ONE_BLOCK] * 3  # two from replica 0
+        assert u.pending_kw[0]["tea"] == 1  # three entries: the bitmask of block (0, 0)
         # the evaluator has incorporated every registration of replica 0 and
         # reports a rebuilt set that still holds all of them
         assert u.apply_refresh(0, {(0, 0): before - {"mocha"}}, {("r", 0): 3}, 0)
         assert u.pending_kw[0] == {"mocha": ONE_BLOCK, "tea": ONE_BLOCK}
-        assert [len(p.entries) for p in u.pending[0].values()] == [0, 1]
+        assert [len(p) for p in u.pending[0].values()] == [0, 1]
         assert effective_set(u, 0) == before
         # once the last pending entry is proven, nothing is left behind
         u.apply_refresh(0, {(0, 0): before}, {("r", 0): 3, ("r", 1): 0}, 0)
         assert 0 not in u.pending_kw
-        assert [len(p.entries) for p in u.pending[0].values()] == [0, 0]
+        assert [len(p) for p in u.pending[0].values()] == [0, 0]
         assert effective_set(u, 0) == before
 
     def test_query_range_across_a_block_edge_opens_both_blocks(self):

@@ -273,9 +273,9 @@ class TestDataPath:
         s.ingest_object(mk_o(1, (1, 1), ["k"], 3))
         # never ingested, so it has no in-flight entry of its own to retire
         s.send("test", "e0", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(2, (2, 2), ["k"], 3), (2, 2))])
+               objs=[(mk_o(2, (2, 2), ["k"], 3), (2, 2))], skipped=0)
         s.send("test", "e1", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(3, (5, 5), ["k"], 4), (5, 5))])
+               objs=[(mk_o(3, (5, 5), ["k"], 4), (5, 5))], skipped=0)
         s.drain()
         assert sorted_results(s) == [(1, 1, 3), (1, 2, 3), (1, 3, 4)]
         assert s._inflight == {}
@@ -522,7 +522,7 @@ class TestBatchCounting:
         assert s.workers["e1"].state.bounds == (2, 0, 7, 7)
 
         o = mk_o(1, (1, 1), ["w"], 1)
-        s.send("r0", "e0", MsgKind.DATA_OBJECT, objs=[(o, (1, 1))] * 7)
+        s.send("r0", "e0", MsgKind.DATA_OBJECT, objs=[(o, (1, 1))] * 7, skipped=0)
         assert s.peak_channel_depth == 7
         assert s.step_channel("r0", "e0") and s.delivered_total == 13
 
@@ -721,7 +721,7 @@ class TestForwardingChains:
         # a straggler addressed to the old owner: e1's newer table entry must
         # route it back to e0, which owns the cell again
         s.send("test", "e1", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(950, (3, 5), ["alpha"], 900), (3, 5))])
+               objs=[(mk_o(950, (3, 5), ["alpha"], 900), (3, 5))], skipped=0)
         s.drain()
         assert sorted(map(tuple, s.results[n0:])) == [(1, 950, 900)]
 
@@ -729,7 +729,7 @@ class TestForwardingChains:
         # outbound entry still sitting in its table
         n1 = len(s.results)
         s.send("test", "e0", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(951, (3, 5), ["alpha"], 901), (3, 5))])
+               objs=[(mk_o(951, (3, 5), ["alpha"], 901), (3, 5))], skipped=0)
         s.drain()
         assert sorted(map(tuple, s.results[n1:])) == [(1, 951, 901)]
 
@@ -797,7 +797,7 @@ class TestPendingBlockRanges:
         for rname in s.router_names:
             unit = s.workers[rname].unit
             [pend] = unit.pending[0].values()
-            assert (pend.head, list(pend.entries)) == (0, [(frozenset({"tea"}), (0, 0, 1, 0))])
+            assert (pend.head, list(pend)) == (0, [(frozenset({"tea"}), (0, 0, 1, 0))])
             assert unit.should_forward_object(frozenset({"tea"}), 0, (6, 3))
             assert not unit.should_forward_object(frozenset({"tea"}), 0, (2, 5))
         s.ingest_object(mk_o(1, (2, 5), ["tea"], 1, n=16, m=16))
@@ -805,6 +805,36 @@ class TestPendingBlockRanges:
         s.drain()
         assert s.counters["dropped_by_summary"] == 1
         assert s.counters["forwarded_objects"] == 1
+
+
+class TestEvictionClock:
+    def test_owed_counts_and_clocks_add_up_to_the_objects_routed(self):
+        cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=4, seed=3,
+                           stats_cadence=BIG, clean_interval=8)
+        s = System(cfg)
+        rng = random.Random(5)
+        for qid in range(1, 31):
+            x, y = rng.randrange(15), rng.randrange(15)
+            s.ingest_query(mk_q(qid, (x, y, x + 1, y + 1), rng.sample(WORDS, 1), n=16, m=16))
+        s.drain()
+        clocks = {name: s.workers[name].delivered for name in s.evaluator_names}
+        routed: Counter = Counter()
+        for oid in range(1, 601):
+            cell = (rng.randrange(16), rng.randrange(16))
+            routed[f"e{s.workers['r0'].unit.grid.owner_of(cell)}"] += 1
+            s.ingest_object(mk_o(oid, cell, rng.sample(OBJECT_WORDS, 2), oid, n=16, m=16))
+            for _ in range(rng.randint(0, 3)):
+                s.tick()
+        s.drain()
+        owed: Counter = Counter()
+        for rname in s.router_names:
+            owed.update(s.workers[rname].owed)
+        assert s.counters["dropped_by_summary"] > 0
+        advanced = {name: s.workers[name].delivered - clocks[name] for name in s.evaluator_names}
+        # the clocks also counted drops, not only the objects delivered
+        assert sum(advanced.values()) > s.counters["forwarded_objects"]
+        for name in s.evaluator_names:
+            assert advanced[name] + owed[name] == routed[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -1025,19 +1055,28 @@ def test_block_summaries_keep_the_oracle_answer_mid_migration(monkeypatch):
 
 def pending_index(unit, pid):
     """A router's pending keyword index for `pid`, rebuilt from its entries:
-    keyword -> the sorted block ranges of the entries holding it."""
-    want: dict[str, list] = {}
+    keyword -> the set of blocks its entries' ranges cover."""
+    want: dict[str, set] = {}
     for pend in unit.pending.get(pid, {}).values():
-        for kws, blocks in pend.entries:
+        for kws, (bx0, by0, bx1, by1) in pend:
             for kw in kws:
-                want.setdefault(kw, []).append(blocks)
-    return {kw: sorted(ranges) for kw, ranges in want.items()}
+                want.setdefault(kw, set()).update(
+                    (bx, by) for bx in range(bx0, bx1 + 1) for by in range(by0, by1 + 1))
+    return want
 
 
-def indexed_ranges(unit, pid):
-    """The index as `pending_index` shapes it: a lone range becomes a list."""
-    return {kw: sorted([r] if type(r) is tuple else r)
-            for kw, r in unit.pending_kw.get(pid, {}).items()}
+def indexed_blocks(unit, pid):
+    """The index as `pending_index` shapes it, decoding each range or bitmask."""
+    width = unit.row_blocks
+    out = {}
+    for kw, held in unit.pending_kw.get(pid, {}).items():
+        if type(held) is tuple:
+            out[kw] = {(bx, by) for bx in range(held[0], held[2] + 1)
+                       for by in range(held[1], held[3] + 1)}
+        else:
+            out[kw] = {(bit % width, bit // width) for bit in range(held.bit_length())
+                       if held >> bit & 1}
+    return out
 
 
 def run_soak(clean_interval, after_drain=None, before=None):
@@ -1084,25 +1123,26 @@ def run_soak(clean_interval, after_drain=None, before=None):
 
 
 def pending_entries(unit, pid):
-    return sum(len(p.entries) for p in unit.pending.get(pid, {}).values())
+    return sum(len(p) for p in unit.pending.get(pid, {}).values())
 
 
 class TestBoundedState:
     def test_soak_keeps_inflight_and_summary_counts_live(self):
+        shapes: Counter = Counter()  # index values seen: lone ranges and bitmasks
+
         def check(s, phase):
             assert s._inflight == {}, f"phase {phase}"
             assert not s._ingested
             for rname in s.router_names:
                 unit = s.workers[rname].unit
                 for pid in set(unit.pending_kw) | set(unit.pending):
-                    assert (indexed_ranges(unit, pid)
+                    assert (indexed_blocks(unit, pid)
                             == pending_index(unit, pid)), (phase, rname, pid)
-                    assert all(type(r) is list and len(r) > 1
-                               for r in unit.pending_kw.get(pid, {}).values()
-                               if type(r) is not tuple), (phase, rname, pid)
+                    shapes.update(type(held) for held in unit.pending_kw.get(pid, {}).values())
 
         s = run_soak(clean_interval=4, after_drain=check)
         assert s.counters["rebalance_count"] >= 3
+        assert shapes[tuple] and shapes[int], shapes
         # refreshes did prune: far fewer entries are pending than were registered
         unit = s.workers["r0"].unit
         pending = sum(pending_entries(unit, pid) for pid in unit.pending)
@@ -1208,7 +1248,8 @@ def run_drifting(on_send=None, before=None):
 
 
 # What run_drifting produces with one router keyword set per partition,
-# each transfer sending its region as one CELL_BATCH.
+# each transfer sending its region as one CELL_BATCH, and cleaning clocked
+# by every object routed to a partition, dropped or delivered.
 PER_PARTITION_DIGEST = dict(
     delivered_total=7112,
     sent={
@@ -1231,7 +1272,7 @@ PER_PARTITION_DIGEST = dict(
         (5113, "shift_corner", "1/2", 34, 1.12, 3.9245283018867925),
         (6313, "split_merge", "3/4/1/0", 106, 5.54, 4.0),
         (6613, "shift_v", "1/2", 341, 1.36, 3.9389312977099236),
-        (6912, "shift_v", "3/4", 163, 0.88, 4.0),
+        (6912, "shift_v", "3/4", 163, 0.92, 4.0),
     ],
     alphas=[
         4.0, 2.2028985507246377, 2.1132075471698113, 1.6923076923076923,
@@ -1252,42 +1293,44 @@ PER_PARTITION_DIGEST = dict(
 # routers, which shifts the delivery ticks, and with them the stats rounds'
 # windows and the later ops' figures; the matches are the same.
 PER_BLOCK_DIGEST = dict(
-    delivered_total=6946,
+    delivered_total=6971,
     sent={
-        "CellBatch": 20, "DataObject": 4394, "ForwardedTuple": 27,
-        "KeywordForward": 385, "PartitionUpdate": 36, "Query": 743,
-        "RebalanceCommand": 351, "StatsReport": 115, "SummaryRefresh": 48,
+        "CellBatch": 21, "DataObject": 4394, "ForwardedTuple": 30,
+        "KeywordForward": 387, "PartitionUpdate": 38, "Query": 743,
+        "RebalanceCommand": 363, "StatsReport": 115, "SummaryRefresh": 50,
     },
     decisions=[
         (313, "shift_v", "2/0", 37, 2.06, 4.0),
         (610, "split_merge", "2/4/3/1", 39, 2.52, 2.1739130434782608),
-        (912, "shift_v", "0/2", 41, 0.42, 2.055045871559633),
-        (1512, "shift_v", "0/2", 8, 1.1400000000000001, 3.948717948717949),
-        (2112, "shift_v", "0/2", 121, 0.54, 3.5166666666666666),
-        (2712, "split_merge", "0/1/2/4", 52, 7.32, 3.286624203821656),
-        (3012, "shift_corner", "2/1", 51, 1.52, 3.0),
-        (3311, "shift_h", "1/3", 281, 2.96, 3.6633663366336635),
-        (3615, "shift_v", "2/0", 110, 0.36, 2.958139534883721),
-        (3910, "shift_h", "3/1", 11, 1.5, 3.032258064516129),
-        (4211, "shift_corner", "1/2", 31, 1.1, 3.6633663366336635),
-        (4513, "shift_corner", "3/2", 3, 0.24, 3.7942857142857145),
-        (4825, "shift_h", "3/1", 96, 0.78, 3.574468085106383),
-        (5115, "shift_h", "1/0", 164, 0.58, 3.9245283018867925),
-        (5410, "shift_h", "3/1", 4, 0.92, 4.0),
-        (5712, "shift_h", "1/0", 91, 0.6, 4.0),
-        (6315, "shift_h", "3/1", 128, 0.66, 4.0),
-        (6610, "shift_h", "3/1", 101, 0.54, 4.0),
+        (911, "shift_v", "0/2", 41, 0.42, 2.055045871559633),
+        (1515, "shift_v", "0/2", 11, 1.1400000000000001, 3.950617283950617),
+        (1815, "shift_v", "0/2", 1, 0.9400000000000001, 3.4260089686098656),
+        (2712, "split_merge", "0/1/2/4", 54, 7.18, 3.272727272727273),
+        (3012, "shift_corner", "2/1", 51, 1.58, 2.9523809523809526),
+        (3311, "shift_h", "1/3", 278, 2.94, 3.66),
+        (3615, "shift_v", "2/0", 109, 0.7000000000000001, 2.958139534883721),
+        (3910, "shift_h", "3/1", 14, 1.48, 3.081967213114754),
+        (4211, "shift_corner", "1/2", 31, 1.1, 3.6751269035532994),
+        (4513, "shift_corner", "3/2", 3, 0.06, 3.807486631016043),
+        (4828, "shift_h", "3/1", 124, 0.92, 3.6226415094339623),
+        (5115, "shift_h", "1/0", 158, 0.52, 3.925925925925926),
+        (5410, "shift_h", "3/1", 27, 0.9, 4.0),
+        (5714, "shift_h", "1/0", 92, 0.6, 3.9611650485436893),
+        (6313, "shift_h", "3/1", 128, 0.72, 4.0),
+        (6609, "shift_h", "3/1", 133, 0.5, 4.0),
+        (6912, "shift_h", "3/1", 24, 0.34, 4.0),
     ],
     alphas=[
         4.0, 2.1739130434782608, 2.055045871559633, 1.6603773584905661,
-        3.948717948717949, 3.4414414414414414, 3.5166666666666666, 2.88,
-        3.286624203821656, 3.0, 3.6633663366336635, 2.958139534883721,
-        3.032258064516129, 3.6633663366336635, 3.7942857142857145,
-        3.574468085106383, 3.9245283018867925, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0,
+        3.950617283950617, 3.4260089686098656, 2.9783549783549783,
+        2.6074074074074076, 3.272727272727273, 2.9523809523809526, 3.66,
+        2.958139534883721, 3.081967213114754, 3.6751269035532994,
+        3.807486631016043, 3.6226415094339623, 3.925925925925926, 4.0,
+        3.9611650485436893, 4.0, 4.0, 4.0, 4.0,
     ],
     counters={
-        "candidates": 3521, "dropped_by_summary": 90, "forwarded_objects": 2310,
-        "rebalance_count": 18,
+        "candidates": 3590, "dropped_by_summary": 92, "forwarded_objects": 2308,
+        "rebalance_count": 19,
     },
 )
 
