@@ -329,6 +329,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             f" rebalances={c['rebalance_count']}")
     if s.metrics:
         line += f" alpha={s.metrics[-1]['alpha']:.3f}"
+    if s.use_summaries:
+        # objects the router gates let through only on a registration no
+        # refresh had covered yet
+        pending = sum(s.workers[name].unit.pending_forwards for name in s.router_names)
+        line += f" pending_forwards={pending}"
     print(line)
     print("wrote: " + " ".join(str(p) for p in wrote))
     return 0

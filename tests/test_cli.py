@@ -215,6 +215,8 @@ class TestRunOutputs:
                 "--stats-cadence", "400", "--seed", "4", "--out", str(out)])
         printed = capsys.readouterr().out
         assert "mode=agrid objects=500 queries=80" in printed
+        counts = dict(re.findall(r"(\w+)=(\d+)", printed.splitlines()[1]))
+        assert 0 < int(counts["pending_forwards"]) <= int(counts["forwarded"])
 
         metrics = read_rows(out / "metrics.csv")
         assert metrics, "expected at least the final statistics row"
