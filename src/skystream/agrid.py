@@ -592,13 +592,8 @@ class RoutingUnit:
             pend = per_pid[origin] = PendingEntries(seq)
         elif not pend.kws:
             pend.head = seq
-        else:
-            nxt = pend.head + len(pend.kws)
-            if seq != nxt:
-                if pend.head <= seq < nxt:
-                    return  # already pending
-                raise ValueError(f"registration seq {seq} from {origin} at {pid}, "
-                                 f"expected {nxt}")
+        elif seq != pend.head + len(pend.kws):
+            raise ValueError(f"registration seq {seq} from {origin} at {pid} is out of order")
         pend.kws.append(kws)
         pend.blocks.append(blocks)
         index = self.pending_kw.get(pid)
@@ -623,13 +618,9 @@ class RoutingUnit:
                 if k > 0:
                     pruned = True
                     pend.head += k
-                    if k == len(kws):
-                        kws.clear()
-                        blocks.clear()
-                    else:
-                        for _ in range(k):
-                            kws.popleft()
-                            blocks.popleft()
+                    for _ in range(k):
+                        kws.popleft()
+                        blocks.popleft()
             if pruned:
                 self._reindex(pid)
         if epoch == expected:

@@ -415,6 +415,14 @@ class TestRouterSummaries:
         assert [len(p) for p in u.pending[0].values()] == [0, 0]
         assert effective_set(u, 0) == before
 
+    def test_entries_of_an_origin_must_arrive_in_seq_order(self):
+        u = summary_unit()
+        u.apply_keyword_forward(("r", 1), 0, 4, frozenset({"tea"}), ONE_BLOCK)
+        with pytest.raises(ValueError, match="out of order"):
+            u.apply_keyword_forward(("r", 1), 0, 6, frozenset({"tea"}), ONE_BLOCK)
+        u.apply_keyword_forward(("r", 1), 0, 5, frozenset({"tea"}), ONE_BLOCK)
+        assert u.pending[0][("r", 1)].head == 4 and len(u.pending[0][("r", 1)]) == 2
+
     def test_query_range_across_a_block_edge_opens_both_blocks(self):
         u = RoutingUnit(0, AGrid(8, 8, {0: (0, 0, 7, 7)}))  # four summary blocks
         # cells x 3..4 of row 2 sit on both sides of the edge at x = 4
