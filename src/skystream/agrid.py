@@ -432,9 +432,11 @@ def summary_contribution(q: ContinuousQuery) -> frozenset[str]:
 _NO_BLOCKS: dict[tuple[int, int], frozenset[str]] = {}
 
 # The blocks a keyword's pending entries cover: the block range of its one
-# entry, or, when several hold it, a bitmask with bit by * row_blocks + bx
-# set for each covered block (bx, by).
-PendingBlocks = CellRect | int
+# entry; the list of their ranges, when several hold it; or, once the gate
+# has read that list, a bitmask with bit by * row_blocks + bx set for each
+# covered block (bx, by). Appending a range is cheaper than setting its bits,
+# so a keyword no object asks about never pays for a bitmask.
+PendingBlocks = CellRect | list[CellRect] | int
 
 
 @dataclass
@@ -525,7 +527,8 @@ class RoutingUnit:
 
         Reads `pid`'s set for the cell's block, then the pending entries
         whose range covers the block; under a premerge union view, the
-        source partition's too.
+        source partition's too. A keyword's list of pending ranges becomes
+        its bitmask the first time the gate reads it.
         """
         side = SUMMARY_BLOCK  # summary_block, inlined: once per object
         bx = cell[0] // side
@@ -546,8 +549,11 @@ class RoutingUnit:
                 bit = by * self.row_blocks + bx
                 for kw in (*o_text, ANY_KEYWORD):
                     held = index.get(kw)
-                    if held is not None and (
-                            held[0] <= bx <= held[2] and held[1] <= by <= held[3]
+                    if held is None:
+                        continue
+                    if type(held) is list:  # read for the first time since it grew
+                        held = index[kw] = _ranges_mask(held, self.row_blocks)
+                    if (held[0] <= bx <= held[2] and held[1] <= by <= held[3]
                             if type(held) is tuple else held >> bit & 1):
                         self.pending_forwards += 1
                         return True
@@ -663,23 +669,24 @@ class RoutingUnit:
 def _index_entry(index: dict[str, PendingBlocks], kws: frozenset[str], blocks: CellRect,
                  row_blocks: int) -> None:
     """Add one pending entry's block range under each of its keywords."""
-    mask = None
     for kw in kws:
         held = index.get(kw)
         if held is None:
             index[kw] = blocks
-            continue
-        if mask is None:
-            mask = _block_mask(blocks, row_blocks)
-        index[kw] = (_block_mask(held, row_blocks) if type(held) is tuple else held) | mask
+        elif type(held) is tuple:
+            index[kw] = [held, blocks]
+        elif type(held) is list:
+            held.append(blocks)
+        else:
+            index[kw] = held | _ranges_mask((blocks,), row_blocks)
 
 
-def _block_mask(blocks: CellRect, row_blocks: int) -> int:
-    """The bitmask of a block range, bit by * row_blocks + bx per block."""
-    bx0, by0, bx1, by1 = blocks
-    row = ((2 << (bx1 - bx0)) - 1) << (by0 * row_blocks + bx0)
+def _ranges_mask(ranges, row_blocks: int) -> int:
+    """The bitmask of the blocks in some block ranges, bit by * row_blocks + bx per block."""
     mask = 0
-    for _ in range(by1 - by0 + 1):
-        mask |= row
-        row <<= row_blocks
+    for bx0, by0, bx1, by1 in ranges:
+        row = ((2 << (bx1 - bx0)) - 1) << (by0 * row_blocks + bx0)
+        for _ in range(by1 - by0 + 1):
+            mask |= row
+            row <<= row_blocks
     return mask

@@ -1066,16 +1066,17 @@ def pending_index(unit, pid):
 
 
 def indexed_blocks(unit, pid):
-    """The index as `pending_index` shapes it, decoding each range or bitmask."""
+    """The index as `pending_index` shapes it, decoding each range, list or bitmask."""
     width = unit.row_blocks
     out = {}
     for kw, held in unit.pending_kw.get(pid, {}).items():
-        if type(held) is tuple:
-            out[kw] = {(bx, by) for bx in range(held[0], held[2] + 1)
-                       for by in range(held[1], held[3] + 1)}
-        else:
+        if type(held) is int:
             out[kw] = {(bit % width, bit // width) for bit in range(held.bit_length())
                        if held >> bit & 1}
+            continue
+        out[kw] = set()
+        for bx0, by0, bx1, by1 in [held] if type(held) is tuple else held:
+            out[kw].update((bx, by) for bx in range(bx0, bx1 + 1) for by in range(by0, by1 + 1))
     return out
 
 
@@ -1142,7 +1143,7 @@ class TestBoundedState:
 
         s = run_soak(clean_interval=4, after_drain=check)
         assert s.counters["rebalance_count"] >= 3
-        assert shapes[tuple] and shapes[int], shapes
+        assert shapes[tuple] and shapes[list] and shapes[int], shapes
         # refreshes did prune: far fewer entries are pending than were registered
         unit = s.workers["r0"].unit
         pending = sum(pending_entries(unit, pid) for pid in unit.pending)
