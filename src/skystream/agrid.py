@@ -543,20 +543,21 @@ class RoutingUnit:
             if base is not None and (ANY_KEYWORD in base or not o_text.isdisjoint(base)):
                 return True
         pending_kw = self.pending_kw
-        for p in (pid, src):
+        for p in (pid,) if src is None else (pid, src):
             index = pending_kw.get(p)
-            if index:
-                bit = by * self.row_blocks + bx
-                for kw in (*o_text, ANY_KEYWORD):
-                    held = index.get(kw)
-                    if held is None:
-                        continue
-                    if type(held) is list:  # read for the first time since it grew
-                        held = index[kw] = _ranges_mask(held, self.row_blocks)
-                    if (held[0] <= bx <= held[2] and held[1] <= by <= held[3]
-                            if type(held) is tuple else held >> bit & 1):
-                        self.pending_forwards += 1
-                        return True
+            if not index:
+                continue
+            bit = by * self.row_blocks + bx
+            for kw in (*o_text, ANY_KEYWORD) if ANY_KEYWORD in index else o_text:
+                held = index.get(kw)
+                if held is None:
+                    continue
+                if type(held) is list:  # read for the first time since it grew
+                    held = index[kw] = _ranges_mask(held, self.row_blocks)
+                if (held[0] <= bx <= held[2] and held[1] <= by <= held[3]
+                        if type(held) is tuple else held >> bit & 1):
+                    self.pending_forwards += 1
+                    return True
         return False
 
     def register_query(self, q: ContinuousQuery) -> RoutingDecision:
