@@ -620,14 +620,13 @@ class RoutingUnit:
         if per_pid:
             pruned = False
             for origin, pend in per_pid.items():
-                kws, blocks = pend.kws, pend.blocks
-                k = min(vector.get(origin, -1) - pend.head + 1, len(kws))
+                k = min(vector.get(origin, -1) - pend.head + 1, len(pend))
                 if k > 0:
                     pruned = True
                     pend.head += k
                     for _ in range(k):
-                        kws.popleft()
-                        blocks.popleft()
+                        pend.kws.popleft()
+                        pend.blocks.popleft()
             if pruned:
                 self._reindex(pid)
         if epoch == expected:
