@@ -518,8 +518,8 @@ class RoutingUnit:
     def route_point(self, loc: Point) -> tuple[int, tuple[int, int]]:
         """The partition owning `loc`, and its cell, which travels with the object."""
         grid = self.grid
-        cell = grid.cell_of(loc)
-        return grid.owner_of(cell), cell
+        cell = grid.geom.cell_of(loc)  # AGrid.cell_of and owner_of, inlined: once per object
+        return grid.cell_owner.item(cell), cell
 
     def should_forward_object(self, o_text: frozenset[str], pid: int,
                               cell: tuple[int, int]) -> bool:
@@ -684,7 +684,8 @@ def _index_entry(index: dict[str, PendingBlocks], kws: frozenset[str], blocks: C
 def _ranges_mask(ranges, row_blocks: int) -> int:
     """The bitmask of the blocks in some block ranges, bit by * row_blocks + bx per block."""
     mask = 0
-    for bx0, by0, bx1, by1 in ranges:
+    # many queries share a block range, and setting a range's bits twice changes nothing
+    for bx0, by0, bx1, by1 in dict.fromkeys(ranges):
         row = ((2 << (bx1 - bx0)) - 1) << (by0 * row_blocks + bx0)
         for _ in range(by1 - by0 + 1):
             mask |= row

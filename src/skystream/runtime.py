@@ -40,10 +40,13 @@ router and destination); any other ack is a ProtocolViolation.
 
 Objects move in batches: what was ingested since the last delivery goes to
 each router as one DATA_OBJECT, and a router sends each evaluator one
-DATA_OBJECT of (object, cell) pairs. Workers still act object by object.
-That DATA_OBJECT also carries how many objects the router's gate dropped for
-the evaluator since its last one; the evaluator advances its cleaning clock
-by them, so a gate that drops more does not evict later.
+DATA_OBJECT of (object, cell) pairs. Each worker takes a batch in one loop:
+per object, a router looks up the cell and asks the gate, and an evaluator
+matches, retires and advances its cleaning clock; counts that nothing reads
+mid-batch are added once per batch. That DATA_OBJECT also carries how many
+objects the router's gate dropped for the evaluator since its last one; the
+evaluator advances its cleaning clock by them, so a gate that drops more
+does not evict later.
 Delivery counts and channel depths count a batch of k objects or k cell
 snapshots as k.
 """
@@ -231,7 +234,6 @@ class RouterWorker:
         self.index = index
         self.sys = system
         cfg = system.cfg
-        self.geom = GridGeometry(cfg.grid_n, cfg.grid_m)
         self.unit: RoutingUnit | None = None
         if system.pm:
             self.unit = RoutingUnit(index, AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm)))
@@ -281,51 +283,46 @@ class RouterWorker:
         if not q.mbr.intersects(WORLD):
             raise ValueError(f"query {q.qid} range {q.mbr} misses the unit square")
 
-    def locate(self, o: SpatialKeywordObject) -> tuple[int, int] | None:
-        """`o`'s cell for the modes without a partitions map; None, counted,
-        when `o` lies outside the unit square."""
-        try:
-            return self.geom.cell_of(o.loc)
-        except OutOfWorldError:
-            self.sys.counters["out_of_world"] += 1
-            return None
-
-    def object_targets(self, o: SpatialKeywordObject
-                       ) -> tuple[tuple[int, int] | None, list[str]]:
-        """`o`'s cell, and the evaluators that must see `o` (none when none can match it)."""
-        sys = self.sys
-        try:
-            pid, cell = self.unit.route_point(o.loc)
-        except OutOfWorldError:
-            sys.counters["out_of_world"] += 1
-            return None, []
-        if self.use_summaries and not self.unit.should_forward_object(o.text, pid, cell):
-            sys.counters["dropped_by_summary"] += 1
-            ename = sys.evaluator_names[pid]
-            self.owed[ename] = self.owed.get(ename, 0) + 1
-            return None, []
-        return cell, [f"e{pid}"]
-
     def route_objects(self, objs: list[SpatialKeywordObject]) -> None:
-        """Route a batch; each evaluator gets one batch of (object, cell) in
-        ingest order, with the count of objects the gate dropped for it."""
+        """Route a batch by cell ownership through the summary gate; each
+        evaluator gets one batch of (object, cell) in ingest order, with the
+        count of objects the gate dropped for it."""
         sys = self.sys
-        batches: defaultdict[str, list] = defaultdict(list)
-        forwarded = 0
-        for o in objs:
-            cell, targets = self.object_targets(o)
-            if not targets:
-                sys.retire(o.ts)
-                continue
-            sys.note_extra_inflight(o.ts, len(targets) - 1)
-            for ename in targets:
-                batches[ename].append((o, cell))
-            forwarded += len(targets)
+        route_point = self.unit.route_point
+        gate = self.unit.should_forward_object if self.use_summaries else None
+        names = sys.evaluator_names
         owed = self.owed
-        for ename, batch in batches.items():
+        retire = sys.retire
+        batches: dict[int, list] = {}  # pid -> its batch, in first-routed order
+        out_of_world = dropped = 0
+        for o in objs:
+            try:
+                pid, cell = route_point(o.loc)
+            except OutOfWorldError:
+                out_of_world += 1
+            else:
+                if gate is None or gate(o.text, pid, cell):
+                    batch = batches.get(pid)
+                    if batch is None:
+                        batch = batches[pid] = []
+                    batch.append((o, cell))
+                    continue
+                dropped += 1
+                ename = names[pid]
+                owed[ename] = owed.get(ename, 0) + 1
+            retire(o.ts)
+        counters = sys.counters
+        if out_of_world:
+            counters["out_of_world"] += out_of_world
+        if dropped:
+            counters["dropped_by_summary"] += dropped
+        forwarded = 0
+        for pid, batch in batches.items():
+            ename = names[pid]
             sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch,
                      skipped=owed.pop(ename, 0))
-        sys.counters["forwarded_objects"] += forwarded
+            forwarded += len(batch)
+        counters["forwarded_objects"] += forwarded
 
     def route_query(self, q: ContinuousQuery) -> None:
         sys = self.sys
@@ -527,25 +524,17 @@ class EvaluatorWorker:
     def handle(self, msg: Message) -> None:
         p = msg.payload
         if msg.kind is MsgKind.DATA_OBJECT:
-            # each object counts as one delivery, so cleaning runs between
-            # the same objects whatever the batching
             if p["skipped"]:
                 self.count_skipped(p["skipped"])
-            handle_object = self.handle_object
-            interval = self.clean_interval
-            for o, cell in p["objs"]:
-                handle_object(o, cell)
-                self.delivered += 1  # count_delivery, inlined: once per object
-                if self.delivered % interval == 0:
-                    self.maybe_clean()
+            self.handle_objects(p["objs"])
             return
         if msg.kind is MsgKind.QUERY:
             self.handle_query(p["query"], p["origin"], p["seq"])
         elif msg.kind is MsgKind.FORWARDED_TUPLE:
             if p["inner"] == "object":
-                self.handle_object(p["obj"], p["cell"])
-            else:
-                self.handle_forwarded_query(p["query"], p.get("cells"))
+                self.handle_objects(((p["obj"], p["cell"]),))
+                return
+            self.handle_forwarded_query(p["query"], p.get("cells"))
         elif msg.kind is MsgKind.CELL_BATCH:
             self.absorb_region(p)
         elif msg.kind is MsgKind.REBALANCE_COMMAND:
@@ -571,24 +560,51 @@ class EvaluatorWorker:
 
     # -- objects --------------------------------------------------------------------
 
-    def handle_object(self, o: SpatialKeywordObject, coord: tuple[int, int] | None) -> None:
-        """Match `o`, or forward it if its cell `coord` has left this evaluator."""
+    # Candidates one object counts, from the queries its cell lists pulled
+    # (its cost delta); None counts that delta itself.
+    candidate_charge: Callable[[int], int] | None = None
+
+    def handle_objects(self, batch) -> None:
+        """Match each (object, cell) of `batch`, or forward it if its cell has
+        left this evaluator.
+
+        Each object counts as one delivery, so cleaning runs between the
+        same objects whatever the batching, and is retired once matched, so
+        the watermark cleaning reads is exact. The window cost and the
+        candidate counts are added once per batch: nothing reads them
+        before the batch is done.
+        """
         sys = self.sys
         st = self.state
-        before = st.overall_cost
-        try:
-            out = st.process_object(o, coord)
-        except OutOfBoundsError:
-            self.forward_object(o, coord)
-            return
-        delta = st.overall_cost - before
-        self.window_cost += delta
-        if not delta:
-            sys.no_candidate_objects += 1
-        sys.counters["candidates"] += self.candidate_charge(delta)
-        if out:
-            sys.emit(out)
-        sys.retire(o.ts)
+        process_object = st.process_object
+        charge = self.candidate_charge
+        retire = sys.retire
+        interval = self.clean_interval
+        cost = charged = no_candidate = forwarded = 0
+        for o, cell in batch:
+            before = st.overall_cost
+            try:
+                out = process_object(o, cell)
+            except OutOfBoundsError:
+                self.forward_object(o, cell)
+                forwarded += 1
+            else:
+                delta = st.overall_cost - before
+                if delta:
+                    cost += delta
+                    if out:
+                        sys.emit(out)
+                else:
+                    no_candidate += 1
+                charged += delta if charge is None else charge(delta)
+                retire(o.ts)
+            self.delivered += 1  # count_delivery, inlined: once per object
+            if self.delivered % interval == 0:
+                self.maybe_clean()
+        self.window_cost += cost
+        sys.no_candidate_objects += no_candidate
+        if forwarded < len(batch):
+            sys.counters["candidates"] += charged
 
     def forward_object(self, o: SpatialKeywordObject, coord: tuple[int, int]) -> None:
         """Send `o` after its cell, which has left this evaluator."""
@@ -602,10 +618,6 @@ class EvaluatorWorker:
         raise ProtocolViolation(
             f"{self.name} got object at cell {coord} outside {self.state.bounds} "
             "with no forwarding entry")
-
-    def candidate_charge(self, cost_delta: int) -> int:
-        """Candidates one object counts: the queries its cell lists pulled."""
-        return cost_delta
 
     # -- queries --------------------------------------------------------------------
 
@@ -765,7 +777,42 @@ class EvaluatorWorker:
 # -- baselines that are not spatio-textually aware ------------------------------------
 
 
-class BroadcastRouter(RouterWorker):
+class FanOutRouter(RouterWorker):
+    """Sends each object to every evaluator its `object_targets(o)` names,
+    which also returns the object's cell (the list is empty when no query
+    there can match it)."""
+
+    def __init__(self, name: str, index: int, system: "System"):
+        super().__init__(name, index, system)
+        self.geom = GridGeometry(system.cfg.grid_n, system.cfg.grid_m)
+
+    def locate(self, o: SpatialKeywordObject) -> tuple[int, int] | None:
+        """`o`'s cell; None, counted, when `o` lies outside the unit square."""
+        try:
+            return self.geom.cell_of(o.loc)
+        except OutOfWorldError:
+            self.sys.counters["out_of_world"] += 1
+            return None
+
+    def route_objects(self, objs: list[SpatialKeywordObject]) -> None:
+        sys = self.sys
+        batches: defaultdict[str, list] = defaultdict(list)
+        forwarded = 0
+        for o in objs:
+            cell, targets = self.object_targets(o)
+            if not targets:
+                sys.retire(o.ts)
+                continue
+            sys.note_extra_inflight(o.ts, len(targets) - 1)
+            for ename in targets:
+                batches[ename].append((o, cell))
+            forwarded += len(targets)
+        for ename, batch in batches.items():
+            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch, skipped=0)
+        sys.counters["forwarded_objects"] += forwarded
+
+
+class BroadcastRouter(FanOutRouter):
     """Every object goes to every evaluator; queries are spread by qid."""
 
     def object_targets(self, o: SpatialKeywordObject
@@ -787,10 +834,11 @@ class BroadcastEvaluator(EvaluatorWorker):
         self.state.bounds = (0, 0, system.cfg.grid_n - 1, system.cfg.grid_m - 1)
 
     def candidate_charge(self, cost_delta: int) -> int:
+        """Every resident query is a candidate, whatever its cell lists pulled."""
         return len(self.state.registry)
 
 
-class TextualRouter(RouterWorker):
+class TextualRouter(FanOutRouter):
     """Keyword partitioning: each keyword hashes to one evaluator."""
 
     @staticmethod
@@ -824,20 +872,22 @@ class TextualEvaluator(EvaluatorWorker):
         self.flat = CellIndex()
         self.registry: dict[int, ContinuousQuery] = {}
 
-    def handle_object(self, o: SpatialKeywordObject, coord: tuple[int, int] | None) -> None:
+    def handle_objects(self, batch) -> None:
         sys = self.sys
-        cand = self.flat.candidates(o.text)
-        if not cand:
-            sys.no_candidate_objects += 1
-        sys.counters["candidates"] += len(cand)
-        out = []
-        for qid in sorted(cand):
-            q = self.registry[qid]
-            if (o.ts <= q.expiry and matches(o, q)
-                    and sys.keyword_evaluator(min(o.text & q.text)) == self.index):
-                out.append(MatchResult(qid, o.oid, o.ts))
-        sys.emit(out)
-        sys.retire(o.ts)
+        for o, _ in batch:
+            cand = self.flat.candidates(o.text)
+            if not cand:
+                sys.no_candidate_objects += 1
+            sys.counters["candidates"] += len(cand)
+            out = []
+            for qid in sorted(cand):
+                q = self.registry[qid]
+                if (o.ts <= q.expiry and matches(o, q)
+                        and sys.keyword_evaluator(min(o.text & q.text)) == self.index):
+                    out.append(MatchResult(qid, o.oid, o.ts))
+            sys.emit(out)
+            sys.retire(o.ts)
+            self.count_delivery()
 
     def handle_query(self, q: ContinuousQuery, origin: tuple | None, seq: int) -> None:
         self.flat.attach(q.qid, self.own_keywords(q.text), frozenset((q.qid,)))
@@ -906,7 +956,7 @@ class System:
         self._send_seq: Counter = Counter()
         self._deliver_seq: Counter = Counter()
         self.scheduler = Scheduler(cfg.seed, cfg.policy)
-        self._ingest_rng = random.Random(cfg.seed + 0x5EED)
+        self._ingest_bits = random.Random(cfg.seed + 0x5EED).getrandbits
         self._ingest_rr = 0
         # router -> objects ingested for it since the last delivery
         self._ingested: defaultdict[str, list] = defaultdict(list)
@@ -1002,7 +1052,13 @@ class System:
     # -- ingest ----------------------------------------------------------------------
 
     def _pick_router(self) -> str:
-        idx = (self._ingest_rr + self._ingest_rng.choice((0, 1))) % len(self.router_names)
+        """Round robin, shifted by one on a coin flip: the draw
+        `Random.choice((0, 1))` makes, without its two wrapper calls."""
+        getrandbits = self._ingest_bits
+        flip = getrandbits(2)
+        while flip > 1:
+            flip = getrandbits(2)
+        idx = (self._ingest_rr + flip) % len(self.router_names)
         self._ingest_rr += 1
         return self.router_names[idx]
 

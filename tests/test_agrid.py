@@ -17,6 +17,7 @@ from skystream.agrid import (
     SUMMARY_BLOCK,
     TilingError,
     WORLD,
+    _ranges_mask,
     block_range,
     corner_shift_candidates,
     dump_partitioning,
@@ -392,6 +393,23 @@ class TestRouterSummaries:
         assert not u.should_forward_object(frozenset({"tea"}), 0, (0, 4))  # block (0, 1)
         assert effective_set(u, 0, (1, 0)) == frozenset({"tea"})
         assert effective_set(u, 0, (0, 1)) == frozenset()
+
+    def test_repeated_ranges_give_the_mask_of_the_distinct_ones(self):
+        rng = random.Random(4)
+        width = 8
+        ranges = []
+        for _ in range(40):
+            bx0, by0 = rng.randrange(width), rng.randrange(width)
+            ranges.append((bx0, by0, rng.randrange(bx0, width), rng.randrange(by0, width)))
+        repeated = ranges + rng.choices(ranges, k=200)
+        rng.shuffle(repeated)
+        want = 0
+        for bx0, by0, bx1, by1 in ranges:
+            for bx in range(bx0, bx1 + 1):
+                for by in range(by0, by1 + 1):
+                    want |= 1 << (by * width + bx)
+        assert _ranges_mask(ranges, width) == want
+        assert _ranges_mask(repeated, width) == want
 
     def test_counts_hold_only_pending_contributions(self):
         u = summary_unit()

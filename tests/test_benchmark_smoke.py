@@ -11,6 +11,7 @@ of two object chunks, and 0.01 keeps 50 standing queries at the same cost.
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -19,7 +20,9 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))  # clusterbench sits at the repository root
 
 from clusterbench import harness  # noqa: E402
-from clusterbench.trace import PER_LAYER  # noqa: E402
+from clusterbench.trace import PER_LAYER, Tracer  # noqa: E402
+from skystream.model import ContinuousQuery, Point, Predicate, Rect, SpatialKeywordObject  # noqa: E402
+from skystream.runtime import System, SystemConfig  # noqa: E402
 
 SCALE = {"tweets-static": 0.01, "query-churn": 0.15, "drifting-hotspot": 0.4}
 
@@ -39,3 +42,33 @@ def test_every_workload_passes_every_check():
                          scale=SCALE["query-churn"])
     check(traced, "query-churn traced")
     assert [name for name in traced["metrics"]] == [name for name, _ in PER_LAYER]
+
+
+def test_tracer_reaches_the_gate_and_the_matcher():
+    """The spans the per-layer metrics read must see every object they count."""
+    s = System(SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=4, seed=3,
+                            stats_cadence=10**9, clean_interval=8))
+    rng = random.Random(11)
+    words = ["ash", "birch", "cedar", "dune"]
+    with Tracer() as tracer:
+        for qid in range(20):
+            x, y = rng.random() * 0.8, rng.random() * 0.8
+            s.ingest_query(ContinuousQuery(qid, Rect(x, y, x + 0.2, y + 0.2),
+                                           frozenset(rng.sample(words, 1)),
+                                           Predicate.OVERLAPS, 10**9))
+        s.drain()
+        in_world = 0
+        for ts in range(1, 401):
+            x, y = rng.random() * 1.1, rng.random()
+            in_world += x < 1.0
+            s.ingest_object(SpatialKeywordObject(ts, Point(x, y),
+                                                 frozenset(rng.sample(words + ["elm"], 1)), ts))
+            if ts % 7 == 0:
+                s.drain()
+        s.drain()
+    assert s.counters["out_of_world"] == 400 - in_world > 0
+    assert 0 < s.counters["dropped_by_summary"] < in_world
+    assert tracer.count["gated"] == in_world
+    assert tracer.count["objects"] == s.counters["forwarded_objects"]
+    for span in ("route_point", "gate", "process_object", "handle", "tick"):
+        assert tracer.total[span] > 0, span

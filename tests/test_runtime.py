@@ -22,6 +22,7 @@ from oracles import SingleIndexOracle, effective_set, random_recursive_partition
 from test_evaluator import blocks_from_cells
 from skystream import agrid as agrid_mod
 from skystream.agrid import ANY_KEYWORD, SUMMARY_BLOCK, RoutingUnit, uniform_partitioning
+from skystream.balancer import OpKind, RebalanceOp
 from skystream.evaluator import CellIndex, RegionMismatchError, iter_region
 from skystream.model import (
     ContinuousQuery,
@@ -220,6 +221,13 @@ class TestDataPath:
         assert not any(s.channels.values())
         assert s.drain() == 0
         assert s.counters["out_of_world"] == 0  # that counter counts objects only
+
+    def test_router_picks_follow_the_seeded_choice_sequence(self):
+        for seed in (0, 1, 7):
+            s = System(SystemConfig(grid_n=8, grid_m=8, routers=2, seed=seed))
+            rng = random.Random(seed + 0x5EED)
+            want = [f"r{(i + rng.choice((0, 1))) % 2}" for i in range(10_000)]
+            assert [s._pick_router() for _ in range(10_000)] == want, seed
 
     def test_ingest_rejects_time_travel(self):
         s = small_system()
@@ -559,6 +567,54 @@ class TestBatchAcrossAMigration:
         s.drain()
         want = expected_matches([mk_q(1, (0, 0, 3, 7), ["alpha"])], objs)
         assert sorted(map(tuple, s.results[n0:])) == want
+
+
+class TestMixedBatch:
+    @pytest.mark.parametrize("mode", ["agrid", "uniform"])
+    def test_one_batch_takes_every_object_path(self, mode):
+        s = small_system(mode=mode)
+        s.ingest_query(mk_q(1, (0, 0, 1, 1), ["k"]))
+        s.ingest_query(mk_q(2, (3, 4, 4, 5), ["k"]))  # straddles e0 and e1
+        s.drain()
+        coord, e0, e1 = s.workers["r0"], s.workers["e0"], s.workers["e1"]
+        coord.start_op(RebalanceOp(OpKind.SHIFT_H, 0, 1, cr=1.0, ct=0.0,
+                                   region=(3, 0, 3, 7)))
+        batch = [
+            SpatialKeywordObject(10, Point(1.5, 0.5), frozenset(["k"]), 10),  # out of world
+            mk_o(11, (1, 1), ["zzz"], 11),  # the gate drops it; uniform forwards it
+            mk_o(12, (0, 0), ["k"], 12),  # matches query 1
+            mk_o(13, (2, 2), ["k"], 13),  # passes the gate, but its cell lists nothing
+            mk_o(14, (3, 5), ["k"], 14),  # routed to e0, which hands column 3 to e1
+        ]
+        s._pick_router = lambda: "r1"  # r1 carries no protocol traffic to e0
+        for o in batch:
+            s.ingest_object(o)
+        assert s.step_channel("in", "r1")
+        held = ("r1", "e0")
+        (msg,) = s.channels[held]
+        agrid = mode == "agrid"
+        assert [o.oid for o, _ in msg.payload["objs"]] == ([12, 13, 14] if agrid
+                                                           else [11, 12, 13, 14])
+        assert msg.payload["skipped"] == (1 if agrid else 0)
+        assert s.workers["r1"].owed == {}
+
+        while coord.op is not None:
+            s.step_channel(*min(k for k, chan in s.channels.items() if chan and k != held))
+        assert e0.forward_table == [((3, 0, 3, 7), "e1")]
+        clock = e0.delivered
+        assert s.step_channel(*held)
+        assert e0.delivered - clock == 4  # every object routed to e0, dropped or delivered
+        s.drain()
+
+        assert dict(s.counters) == {
+            "out_of_world": 1, "forwarded_objects": 3 if agrid else 4, "candidates": 2,
+            "rebalance_count": 1, **({"dropped_by_summary": 1} if agrid else {}),
+        }
+        assert s.no_candidate_objects == (1 if agrid else 2)
+        assert (e0.window_cost, e1.window_cost) == (1, 1)
+        assert sorted_results(s) == [(1, 12, 12), (2, 14, 14)]
+        assert s._inflight == {}
+        assert s.watermark() == 14
 
 
 class TestRoundAcrossAnOp:
