@@ -598,13 +598,16 @@ class EvaluatorState:
         return sum(cost_agg[i] for i in rng), sum(q_agg[i] for i in rng)
 
     def stats_report(self, pm: dict[int, CellRect] | None = None) -> EvaluatorStats:
-        try:
-            split = self.find_best_split()
-        except UnsplittableError:
-            split = None
+        """Cost and copies; with a map that holds this partition, also the
+        split, strip and corner candidates the balancer reads."""
+        split = None
         strips: tuple[ShiftCandidate, ...] = ()
         corners: tuple[ShiftCandidate, ...] = ()
         if pm is not None and self.pid in pm:
+            try:
+                split = self.find_best_split()
+            except UnsplittableError:
+                pass
             strips = self.find_shift_cut(pm)
             corners = self.corner_candidates(pm)
         return EvaluatorStats(

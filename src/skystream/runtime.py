@@ -248,7 +248,9 @@ class RouterWorker:
         self.awaiting: set[tuple] = set()  # acks the op's current step still needs
         self.round_id = 0
         self.round_open = False
-        self.round_generation = 0
+        # the map an adaptive round asks for shift and split candidates
+        # under; None when the round can start no op
+        self.round_pm: dict[int, CellRect] | None = None
         self.round_pids: frozenset[int] = frozenset()
         self.round_reports: dict[int, Any] = {}
         self.round_window: dict[int, int] = {}
@@ -361,16 +363,18 @@ class RouterWorker:
     # -- coordinator: statistics rounds ------------------------------------------------
 
     def request_stats(self) -> None:
+        """Open a round. Only an adaptive round opened with no op in flight
+        sends the map, and so asks for candidates: an op starts only when a
+        round closes, so no map changes while such a round is open."""
         self.round_id += 1
         self.round_open = True
         self.round_pids = frozenset(self.sys.pm)
-        self.round_generation = self.sys.generation
+        self.round_pm = dict(self.sys.pm) if self.sys.cfg.adaptive and self.op is None else None
         self.round_reports = {}
         self.round_window = {}
         for ename in self.sys.evaluator_names:
             self.sys.send(self.name, ename, MsgKind.REBALANCE_COMMAND,
-                          verb="report_stats", round=self.round_id,
-                          pm=dict(self.sys.pm))
+                          verb="report_stats", round=self.round_id, pm=self.round_pm)
 
     def coord_stats_report(self, p: dict) -> None:
         if self.index != 0:
@@ -385,14 +389,9 @@ class RouterWorker:
         self.round_open = False
         alpha = self.sys.record_metrics_row(
             self.round_pids, self.round_reports, self.round_window)
-        # reports name regions of the map they were taken under, so an op
-        # that finished while the round was open voids this round's decision
-        if (self.sys.cfg.adaptive and self.op is None
-                and self.round_generation == self.sys.generation):
-            snap = WorkloadSnapshot(
-                dict(self.sys.pm),
-                {pid: self.round_reports[pid] for pid in self.sys.pm},
-            )
+        pm = self.round_pm
+        if pm is not None:
+            snap = WorkloadSnapshot(pm, {pid: self.round_reports[pid] for pid in pm})
             op = select_rebalance_op(snap, self.sys.cfg.beta, spare=self.sys.spare)
             if op is not None:
                 self.sys.log_decision(op, alpha)
@@ -701,8 +700,14 @@ class EvaluatorWorker:
         sys = self.sys
         if verb == "report_stats":
             pm = p["pm"]
-            pm_arg = pm if pm.get(self.index) == self.state.bounds else None
-            stats = self.state.stats_report(pm_arg)
+            # the round cannot close, and so no op can start, before every
+            # partition in its map has answered; only the spare, which the
+            # round does not wait for, may have absorbed a region since
+            if pm is not None and self.index in pm and pm[self.index] != self.state.bounds:
+                raise ProtocolViolation(
+                    f"{self.name} owns {self.state.bounds}, not {pm[self.index]} "
+                    "as the round's map says")
+            stats = self.state.stats_report(pm)
             sys.send(self.name, sys.coordinator, MsgKind.STATS_REPORT,
                      round=p["round"], stats=stats, window_cost=self.window_cost)
             self.window_cost = 0

@@ -502,6 +502,13 @@ class TestProtocolViolation:
         with pytest.raises(ProtocolViolation):
             s.drain()
 
+    def test_stats_request_under_a_map_the_partition_does_not_hold_raises(self):
+        s = shift_fixture()
+        s.send("r0", "e0", MsgKind.REBALANCE_COMMAND, verb="report_stats", round=1,
+               pm={0: (0, 0, 2, 7), 1: (3, 0, 7, 7)})
+        with pytest.raises(ProtocolViolation):
+            s.drain()
+
     def test_second_batch_for_a_held_region_raises(self):
         s = shift_fixture()
         batches = []
@@ -615,6 +622,45 @@ class TestMixedBatch:
         assert sorted_results(s) == [(1, 12, 12), (2, 14, 14)]
         assert s._inflight == {}
         assert s.watermark() == 14
+
+
+class TestStatsRounds:
+    @staticmethod
+    def rounds(s):
+        """Per round opened: the map it sent, and each partition's best split."""
+        sent_pm: dict[int, object] = {}
+        splits: dict[int, dict] = {}
+
+        def on_send(sender, receiver, kind, payload):
+            if kind is MsgKind.REBALANCE_COMMAND and payload.get("verb") == "report_stats":
+                sent_pm[payload["round"]] = payload["pm"]
+            elif kind is MsgKind.STATS_REPORT:
+                stats = payload["stats"]
+                splits.setdefault(payload["round"], {})[stats.pid] = stats.best_split
+
+        count_sends(s, on_send)
+        return sent_pm, splits
+
+    def test_only_a_round_that_can_start_an_op_asks_for_candidates(self):
+        s = shift_fixture()
+        sent_pm, splits = self.rounds(s)
+        coord = s.workers["r0"]
+        s.trigger_stats()
+        drain_until(s, lambda: coord.op is not None)
+        s.trigger_stats()  # opened while the op is in flight
+        s.drain()
+        assert sent_pm == {1: {0: (0, 0, 3, 7), 1: (4, 0, 7, 7)}, 2: None}
+        assert splits[1][0] is not None
+        assert set(splits[2].values()) == {None}
+
+    def test_a_static_round_asks_for_none(self):
+        s = shift_fixture(adaptive=False)
+        sent_pm, splits = self.rounds(s)
+        s.trigger_stats()
+        s.drain()
+        assert sent_pm == {1: None}
+        assert set(splits[1].values()) == {None}
+        assert len(s.metrics) == 1
 
 
 class TestRoundAcrossAnOp:
