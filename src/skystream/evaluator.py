@@ -32,10 +32,11 @@ the number of candidate queries its keywords pull from the cell's inverted
 lists (deduplicated by qid) to that cell's cost, and to the row, column and
 overall aggregates.
 
-Expired queries are only physically removed by the cleaning cursor, and only
-once the caller-provided watermark proves no in-flight object could still
-match them; matching itself checks expiry against the object timestamp, so
-results never depend on cleaning progress.
+Expired queries are only physically removed by a cleaning step, which
+evicts each one whole, from every cell that holds it, once the
+caller-provided watermark proves no in-flight object could still match it;
+matching itself checks expiry against the object timestamp, so results
+never depend on cleaning progress.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .agrid import (
     rect_cells,
     rect_contains_cell,
     rect_intersect,
-    summary_block,
     summary_contribution,
 )
 from .model import ContinuousQuery, MatchResult, Predicate, SpatialKeywordObject, matches
@@ -283,10 +283,11 @@ class EvaluatorState:
         # never changes a dict it has returned; and the blocks to recompute
         self._blocks: dict[tuple[int, int], frozenset[str]] = {}
         self._stale: set[tuple[int, int]] = set()
-        # cleaning cursor: index into the row-major enumeration of owned cells
+        # refresh cursor: each cleaning step advances it by its budget, and
+        # passing the owned cell count ends a cycle with a refresh
         self._cursor = 0
         # no registered query expires before this; lowered on registration,
-        # raised again at the end of a cleaning cycle
+        # raised by each eviction
         self._expiry_floor = float("inf")
 
     # -- basic geometry ----------------------------------------------------
@@ -339,13 +340,6 @@ class EvaluatorState:
             self._admit(record, added)
             self._touch(region)
         return added
-
-    def _detach(self, qid: int, cell: CellIndex, coord: tuple[int, int]) -> None:
-        q = self.registry[qid]
-        cell.detach(qid, None if q.predicate is Predicate.INSIDE else q.text)
-        self.col_q[coord[0]] -= 1
-        self.row_q[coord[1]] -= 1
-        self._retire(qid, 1)
 
     def _admit(self, q: ContinuousQuery, added: int) -> None:
         """Per-query side of attaching `q` to `added` more cells."""
@@ -402,65 +396,63 @@ class EvaluatorState:
 
     # -- expiry / cleaning ----------------------------------------------------
 
-    def _evict_span(self, start: int, end: int, watermark: int) -> None:
-        """Evict queries expiring before `watermark` from owned cells start..end-1.
-
-        Cells are numbered row-major over the bounds; a cell left with no
-        query and no cost history is dropped.
-        """
-        b = self.bounds
-        x0, y0 = b[0], b[1]
-        width = b[2] - x0 + 1
-        cells = self.cells
-        registry = self.registry
-        detach = self._detach
-        k = start
-        while k < end:  # row by row
-            row, i0 = divmod(k, width)
-            i1 = min(width, i0 + end - k)
-            k += i1 - i0
-            y = y0 + row
-            for x in range(x0 + i0, x0 + i1):
-                coord = (x, y)
-                cell = cells.get(coord)
-                if cell is None:
-                    continue
-                qids = cell.qids
-                for qid in qids:
-                    if registry[qid].expiry < watermark:  # list them all, then detach
-                        expired = [q for q in qids if registry[q].expiry < watermark]
-                        for gone in expired:
-                            detach(gone, cell, coord)
-                        self._stale.add(summary_block(coord))
-                        break
-                if not cell.qids and not cell.cost:
-                    del cells[coord]
-
     def cleaning_step(self, watermark: int,
                       budget: int) -> dict[tuple[int, int], frozenset[str]] | None:
-        """Advance the cleaning cursor by `budget` cells.
+        """Evict every query whose expiry precedes the watermark (the smallest
+        object timestamp that may still arrive), then advance the refresh
+        cursor by `budget` cells.
 
-        Evicts queries whose expiry precedes the watermark (the smallest
-        object timestamp that may still arrive). Returns the rebuilt
-        per-block summary when a full cycle completes, else None.
+        The cursor scans nothing; it only times the refresh. Returns the
+        rebuilt per-block summary when it completes a cycle, else None.
         """
         total = self.owned_cell_count()
         if total == 0:
             return self.summary_blocks()
-        end = min(self._cursor + max(1, budget), total)
         if self._expiry_floor < watermark:  # else no query can be evicted yet
-            self._evict_span(self._cursor, end, watermark)
-        self._cursor = end
+            self._evict(watermark)
+        self._cursor = min(self._cursor + max(1, budget), total)
         if self._cursor >= total:
             self._cursor = 0
-            if self._expiry_floor < watermark:
-                # a full cycle has evicted what it could: raise the floor to
-                # what is still registered, so an expired query no longer
-                # forces every later step to scan
-                self._expiry_floor = min(
-                    (q.expiry for q in self.registry.values()), default=float("inf"))
             return self.summary_blocks()
         return None
+
+    def _evict(self, watermark: int) -> None:
+        """Detach each query expiring before `watermark` from every owned cell
+        of its range that holds it, and raise the floor to the smallest
+        expiry left. A cell left with no query and no cost history is dropped.
+        """
+        expired = []
+        floor = float("inf")
+        for q in self.registry.values():
+            if q.expiry < watermark:
+                expired.append(q)
+            elif q.expiry < floor:
+                floor = q.expiry
+        self._expiry_floor = floor
+        bounds = self.bounds
+        cell_range = self.geom.cell_range
+        cells = self.cells
+        col_q, row_q = self.col_q, self.row_q
+        for q in expired:
+            qid = q.qid
+            text = None if q.predicate is Predicate.INSIDE else q.text
+            region = rect_intersect(cell_range(q.mbr), bounds)
+            x0, y0, x1, y1 = region
+            removed = 0
+            for j in range(y0, y1 + 1):
+                for i in range(x0, x1 + 1):
+                    coord = (i, j)
+                    cell = cells.get(coord)
+                    if cell is None or qid not in cell.qids:
+                        continue
+                    cell.detach(qid, text)
+                    col_q[i] -= 1
+                    row_q[j] -= 1
+                    removed += 1
+                    if not cell.qids and not cell.cost:
+                        del cells[coord]
+            self._retire(qid, removed)
+            self._touch(region)
 
     def summary_blocks(self) -> dict[tuple[int, int], frozenset[str]]:
         """Keywords per summary block over the owned cells; blocks with none are absent.
@@ -680,12 +672,12 @@ class EvaluatorState:
             self.row_q[coord[1]] += copies
 
     def _keep_cursor(self) -> None:
-        """Carry the cleaning cursor across a bounds change.
+        """Carry the refresh cursor across a bounds change.
 
         Restarting it would keep a partition that migrates more often than
         a cycle lasts from ever completing one, and so from ever refreshing
-        its summary. The refresh is built from the cells' indexes, not from
-        the scan, so a cycle that spans a bounds change is still sound.
+        its summary. The cursor only times the refresh, which is built from
+        the cells' indexes, so a cycle that spans a bounds change is sound.
         """
         self._cursor = min(self._cursor, self.owned_cell_count())
 

@@ -113,7 +113,8 @@ class ContinuousQuery:
     """A standing query: MBR, keyword set, predicate, expiry timestamp.
 
     A query is live for an object stamped ts while ts <= expiry; after its
-    expiry it is dropped (lazily, see the evaluator's cleaning cycle).
+    expiry it is dropped whole by the evaluator's next cleaning step that
+    the watermark allows.
     """
 
     qid: int

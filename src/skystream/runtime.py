@@ -43,10 +43,9 @@ each router as one DATA_OBJECT, and a router sends each evaluator one
 DATA_OBJECT of (object, cell) pairs. Each worker takes a batch in one loop:
 per object, a router looks up the cell and asks the gate, and an evaluator
 matches, retires and advances its cleaning clock; counts that nothing reads
-mid-batch are added once per batch. That DATA_OBJECT also carries how many
-objects the router's gate dropped for the evaluator since its last one; the
-evaluator advances its cleaning clock by them, so a gate that drops more
-does not evict later.
+mid-batch are added once per batch. A cleaning step evicts every query the
+watermark has passed, so a partition whose gate drops most of its objects
+runs fewer steps but evicts at most one step late.
 Delivery counts and channel depths count a batch of k objects or k cell
 snapshots as k.
 """
@@ -238,9 +237,6 @@ class RouterWorker:
         if system.pm:
             self.unit = RoutingUnit(index, AGrid(cfg.grid_n, cfg.grid_m, dict(system.pm)))
         self.use_summaries = system.use_summaries
-        # evaluator -> objects the gate dropped for it since the last
-        # DATA_OBJECT to it, which carries the count on
-        self.owed: dict[str, int] = {}
         # coordinator state, used on replica 0 only
         self.op: RebalanceOp | None = None
         self.op_id = 0
@@ -287,13 +283,11 @@ class RouterWorker:
 
     def route_objects(self, objs: list[SpatialKeywordObject]) -> None:
         """Route a batch by cell ownership through the summary gate; each
-        evaluator gets one batch of (object, cell) in ingest order, with the
-        count of objects the gate dropped for it."""
+        evaluator gets one batch of (object, cell) in ingest order."""
         sys = self.sys
         route_point = self.unit.route_point
         gate = self.unit.should_forward_object if self.use_summaries else None
         names = sys.evaluator_names
-        owed = self.owed
         retire = sys.retire
         batches: dict[int, list] = {}  # pid -> its batch, in first-routed order
         out_of_world = dropped = 0
@@ -310,8 +304,6 @@ class RouterWorker:
                     batch.append((o, cell))
                     continue
                 dropped += 1
-                ename = names[pid]
-                owed[ename] = owed.get(ename, 0) + 1
             retire(o.ts)
         counters = sys.counters
         if out_of_world:
@@ -320,9 +312,7 @@ class RouterWorker:
             counters["dropped_by_summary"] += dropped
         forwarded = 0
         for pid, batch in batches.items():
-            ename = names[pid]
-            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch,
-                     skipped=owed.pop(ename, 0))
+            sys.send(self.name, names[pid], MsgKind.DATA_OBJECT, objs=batch)
             forwarded += len(batch)
         counters["forwarded_objects"] += forwarded
 
@@ -523,8 +513,6 @@ class EvaluatorWorker:
     def handle(self, msg: Message) -> None:
         p = msg.payload
         if msg.kind is MsgKind.DATA_OBJECT:
-            if p["skipped"]:
-                self.count_skipped(p["skipped"])
             self.handle_objects(p["objs"])
             return
         if msg.kind is MsgKind.QUERY:
@@ -545,16 +533,6 @@ class EvaluatorWorker:
     def count_delivery(self) -> None:
         self.delivered += 1
         if self.delivered % self.clean_interval == 0:
-            self.maybe_clean()
-
-    def count_skipped(self, k: int) -> None:
-        """Advance the cleaning clock by `k` objects that routers dropped for
-        this partition, so cleaning keeps pace with the objects routed here
-        rather than only with those delivered."""
-        interval = self.clean_interval
-        before = self.delivered
-        self.delivered = before + k
-        for _ in range(self.delivered // interval - before // interval):
             self.maybe_clean()
 
     # -- objects --------------------------------------------------------------------
@@ -813,7 +791,7 @@ class FanOutRouter(RouterWorker):
                 batches[ename].append((o, cell))
             forwarded += len(targets)
         for ename, batch in batches.items():
-            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch, skipped=0)
+            sys.send(self.name, ename, MsgKind.DATA_OBJECT, objs=batch)
         sys.counters["forwarded_objects"] += forwarded
 
 

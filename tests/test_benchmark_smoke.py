@@ -42,6 +42,11 @@ def test_every_workload_passes_every_check():
                          scale=SCALE["query-churn"])
     check(traced, "query-churn traced")
     assert [name for name in traced["metrics"]] == [name for name, _ in PER_LAYER]
+    # a change that stops eviction or cleaning fails here, not only in
+    # messages_per_event; at this scale no partition completes a refresh
+    # cycle, so runtime.msgs.SummaryRefresh reads 0 and cannot be guarded
+    for name in ("evaluator.queries_evicted", "evaluator.cleaning_steps"):
+        assert traced["metrics"][name]["value"] > 0, name
 
 
 def test_tracer_reaches_the_gate_and_the_matcher():

@@ -61,13 +61,9 @@ def make_object(geom, oid, i, j, text=("coffee",), ts=0):
 
 
 def full_cleaning_cycle(ev: EvaluatorState, now: int) -> None:
-    """Evict every query with expiry <= now from every owned cell.
-
-    The first step finishes the cycle from wherever the cursor stands; the
-    second sweeps every owned cell from the first.
-    """
-    for _ in range(2):
-        ev.cleaning_step(now + 1, budget=ev.owned_cell_count())
+    """Evict every query with expiry <= now, and end the refresh cycle from
+    wherever the cursor stands."""
+    ev.cleaning_step(now + 1, budget=ev.owned_cell_count())
 
 
 def check_aggregates(ev: EvaluatorState) -> None:
@@ -183,12 +179,13 @@ class TestSummaryCounts:
         ev.register_query(make_query(g, 2, 1, 1, 2, 2, text=("new",), expiry=50))
         before = {(0, 0): frozenset({"old", "new"}), (1, 0): frozenset({"old"})}
         assert ev.summary_blocks() == before
-        # the first row's step evicts query 1 from half its cells: still registered
-        ev.cleaning_step(watermark=10, budget=8)
-        assert ev.attach_count[1] == 8
-        assert ev.summary_blocks() == before
+        # the first step evicts query 1 from all 16 of its cells; the refresh
+        # waits for the cursor to end its cycle
+        assert ev.cleaning_step(watermark=10, budget=8) is None
+        assert set(ev.registry) == set(ev.attach_count) == {2}
+        assert ev.overall_q == 4
+        check_aggregates(ev)
         assert ev.cleaning_step(watermark=10, budget=56) == {(0, 0): frozenset({"new"})}
-        assert set(ev.registry) == {2}
         check_summary(ev)
 
     def test_absorbed_query_counts_once_on_each_side(self):
@@ -516,6 +513,60 @@ class TestCleaning:
         assert set(ev.registry) == {2}
         # no step scans again until the watermark passes what is left
         assert ev._expiry_floor == 50
+
+    def test_one_step_evicts_a_query_from_every_cell(self):
+        g = GridGeometry(8, 8)
+        ev = EvaluatorState(0, g, (0, 0, 7, 7))
+        ev.register_query(make_query(g, 1, 0, 1, 7, 4, text=("old",), expiry=5))
+        ev.register_query(make_query(g, 2, 2, 2, 5, 5, text=("new",), expiry=50))
+        ev.register_query(make_query(g, 3, 0, 6, 1, 7, predicate=Predicate.INSIDE, text=(),
+                                     expiry=5))
+        assert ev.cleaning_step(watermark=0, budget=20) is None
+        # query 1 holds cells 8..39 of the row-major order: behind the
+        # cursor (at 20) and ahead of it
+        assert ev.cleaning_step(watermark=10, budget=1) is None
+        assert set(ev.registry) == set(ev.attach_count) == {2}
+        assert all(cell.qids <= {2} for cell in ev.cells.values())
+        assert set(ev.cells) == set(iter_region((2, 2, 5, 5)))
+        check_aggregates(ev)
+        check_summary(ev)
+
+    def test_eviction_detaches_only_the_cells_still_held(self):
+        g = GridGeometry(8, 8)
+        left = EvaluatorState(0, g, (0, 0, 3, 7))
+        right = EvaluatorState(1, g, (4, 0, 7, 7))
+        below = EvaluatorState(2, g, None)
+        dying = make_query(g, 1, 2, 0, 5, 7, text=("old",), expiry=5)
+        for ev in (left, right):
+            ev.register_query(dying)
+            ev.register_query(make_query(g, 2, 0, 0, 7, 7, text=("new",), expiry=50))
+        right.cleaning_step(watermark=10, budget=1)  # right no longer holds query 1
+        left.absorb_cells(take_region(right, (4, 0, 4, 7)))
+        below.absorb_cells(take_region(left, (0, 0, 4, 1)))
+        # left holds query 1 in columns 2..3 of rows 2..7 only, though its
+        # range also spans column 4 there
+        assert left.bounds == (0, 2, 4, 7) and left.attach_count[1] == 12
+        copies = left.overall_q
+        left.cleaning_step(watermark=10, budget=1)
+        assert left.overall_q == copies - 12
+        assert set(left.registry) == {2}
+        for ev in (left, right, below):
+            check_aggregates(ev)
+            check_summary(ev)
+
+    def test_a_step_sets_the_floor_to_the_smallest_expiry_left(self):
+        g = GridGeometry(4, 4)
+        ev = EvaluatorState(0, g, (0, 0, 3, 3))
+        for qid, expiry in enumerate((7, 5, 50, 30, 9)):
+            ev.register_query(make_query(g, qid, qid % 4, 0, 3, 3, expiry=expiry))
+        assert ev._expiry_floor == 5
+        assert ev.cleaning_step(watermark=8, budget=1) is None
+        assert {q.expiry for q in ev.registry.values()} == {50, 30, 9}
+        assert ev._expiry_floor == 9
+        ev.cleaning_step(watermark=20, budget=1)
+        assert ev._expiry_floor == 30
+        ev.cleaning_step(watermark=60, budget=1)
+        assert not ev.registry and ev._expiry_floor == float("inf")
 
     def test_budget_paces_the_cursor(self):
         g = GridGeometry(4, 4)
@@ -858,7 +909,7 @@ def test_random_operations_keep_books_balanced(data):
             assert all(q.expiry > now for q in ev.registry.values())
         else:
             ev.cleaning_step(data.draw(st.integers(0, 30)), budget=data.draw(st.integers(1, 9)))
-        # the scan is skipped below the floor, so it must never pass a live query
+        # eviction is skipped below the floor, so it must never pass a live query
         assert all(ev._expiry_floor <= q.expiry for q in ev.registry.values())
     check_aggregates(ev)
     check_summary(ev)
@@ -1030,14 +1081,9 @@ def test_compact_cells_equal_a_plain_set_index(data):
             ev = data.draw(st.sampled_from([left, right]))
             if ev.bounds is None:
                 continue
-            budget = data.draw(st.integers(1, 12))
-            x0, y0, x1, _ = ev.bounds
-            width = x1 - x0 + 1
-            start = ev._cursor
-            for k in range(start, min(start + budget, ev.owned_cell_count())):
-                coord = (x0 + k % width, y0 + k // width)
+            for coord in iter_region(ev.bounds):  # a step evicts whole queries
                 ref[coord] = {h for h in ref[coord] if queries[h].expiry >= ts}
-            ev.cleaning_step(ts, budget=budget)
+            ev.cleaning_step(ts, budget=data.draw(st.integers(1, 12)))
         elif op == "move":
             to_right = data.draw(st.booleans())
             donor_width = cut + 1 if to_right else 5 - cut

@@ -281,9 +281,9 @@ class TestDataPath:
         s.ingest_object(mk_o(1, (1, 1), ["k"], 3))
         # never ingested, so it has no in-flight entry of its own to retire
         s.send("test", "e0", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(2, (2, 2), ["k"], 3), (2, 2))], skipped=0)
+               objs=[(mk_o(2, (2, 2), ["k"], 3), (2, 2))])
         s.send("test", "e1", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(3, (5, 5), ["k"], 4), (5, 5))], skipped=0)
+               objs=[(mk_o(3, (5, 5), ["k"], 4), (5, 5))])
         s.drain()
         assert sorted_results(s) == [(1, 1, 3), (1, 2, 3), (1, 3, 4)]
         assert s._inflight == {}
@@ -537,7 +537,7 @@ class TestBatchCounting:
         assert s.workers["e1"].state.bounds == (2, 0, 7, 7)
 
         o = mk_o(1, (1, 1), ["w"], 1)
-        s.send("r0", "e0", MsgKind.DATA_OBJECT, objs=[(o, (1, 1))] * 7, skipped=0)
+        s.send("r0", "e0", MsgKind.DATA_OBJECT, objs=[(o, (1, 1))] * 7)
         assert s.peak_channel_depth == 7
         assert s.step_channel("r0", "e0") and s.delivered_total == 13
 
@@ -602,15 +602,13 @@ class TestMixedBatch:
         agrid = mode == "agrid"
         assert [o.oid for o, _ in msg.payload["objs"]] == ([12, 13, 14] if agrid
                                                            else [11, 12, 13, 14])
-        assert msg.payload["skipped"] == (1 if agrid else 0)
-        assert s.workers["r1"].owed == {}
 
         while coord.op is not None:
             s.step_channel(*min(k for k, chan in s.channels.items() if chan and k != held))
         assert e0.forward_table == [((3, 0, 3, 7), "e1")]
         clock = e0.delivered
         assert s.step_channel(*held)
-        assert e0.delivered - clock == 4  # every object routed to e0, dropped or delivered
+        assert e0.delivered - clock == (3 if agrid else 4)  # the objects delivered to e0
         s.drain()
 
         assert dict(s.counters) == {
@@ -823,7 +821,7 @@ class TestForwardingChains:
         # a straggler addressed to the old owner: e1's newer table entry must
         # route it back to e0, which owns the cell again
         s.send("test", "e1", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(950, (3, 5), ["alpha"], 900), (3, 5))], skipped=0)
+               objs=[(mk_o(950, (3, 5), ["alpha"], 900), (3, 5))])
         s.drain()
         assert sorted(map(tuple, s.results[n0:])) == [(1, 950, 900)]
 
@@ -831,7 +829,7 @@ class TestForwardingChains:
         # outbound entry still sitting in its table
         n1 = len(s.results)
         s.send("test", "e0", MsgKind.DATA_OBJECT,
-               objs=[(mk_o(951, (3, 5), ["alpha"], 901), (3, 5))], skipped=0)
+               objs=[(mk_o(951, (3, 5), ["alpha"], 901), (3, 5))])
         s.drain()
         assert sorted(map(tuple, s.results[n1:])) == [(1, 951, 901)]
 
@@ -885,6 +883,38 @@ class TestCleaningAndRefresh:
         assert s.counters["dropped_by_summary"] == before + 1
         assert (2, 999, 400) not in set(map(tuple, s.results))
 
+    def test_a_gate_starved_partition_evicts_at_its_next_step(self):
+        cfg = SystemConfig(grid_n=8, grid_m=8, routers=2, evaluators=2, seed=1,
+                           stats_cadence=BIG, clean_interval=4)
+        s = System(cfg, pm={0: (0, 0, 3, 7), 1: (4, 0, 7, 7)})
+        s.ingest_query(mk_q(1, (0, 0, 3, 3), ["zap"], expiry=10))
+        s.ingest_query(mk_q(2, (0, 4, 3, 7), ["filler"]))
+        s.drain()
+        e0 = s.workers["e0"]
+        steps = []  # (watermark, query 1 still registered) after each step
+        step = e0.state.cleaning_step
+
+        def logged(watermark, budget):
+            out = step(watermark, budget)
+            steps.append((watermark, 1 in e0.state.registry))
+            return out
+
+        e0.state.cleaning_step = logged
+        rng = random.Random(3)
+        for k in range(400):
+            if k % 50 == 49:
+                o = mk_o(k, (1, 5), ["filler"], 20 + k)
+            else:
+                o = mk_o(k, (rng.randrange(4), rng.randrange(8)), ["nope"], 20 + k)
+            s.ingest_object(o)
+            if k % 5 == 0:
+                s.drain()
+        s.drain()
+        # the gate dropped all but one object in fifty, so e0 ran few steps
+        assert s.counters["dropped_by_summary"] == 392
+        assert steps and steps[0][0] > 10
+        assert not any(held for _, held in steps), steps
+
 
 class TestPendingBlockRanges:
     def test_evaluator_origin_entry_opens_only_its_blocks(self):
@@ -907,36 +937,6 @@ class TestPendingBlockRanges:
         s.drain()
         assert s.counters["dropped_by_summary"] == 1
         assert s.counters["forwarded_objects"] == 1
-
-
-class TestEvictionClock:
-    def test_owed_counts_and_clocks_add_up_to_the_objects_routed(self):
-        cfg = SystemConfig(grid_n=16, grid_m=16, routers=2, evaluators=4, seed=3,
-                           stats_cadence=BIG, clean_interval=8)
-        s = System(cfg)
-        rng = random.Random(5)
-        for qid in range(1, 31):
-            x, y = rng.randrange(15), rng.randrange(15)
-            s.ingest_query(mk_q(qid, (x, y, x + 1, y + 1), rng.sample(WORDS, 1), n=16, m=16))
-        s.drain()
-        clocks = {name: s.workers[name].delivered for name in s.evaluator_names}
-        routed: Counter = Counter()
-        for oid in range(1, 601):
-            cell = (rng.randrange(16), rng.randrange(16))
-            routed[f"e{s.workers['r0'].unit.grid.owner_of(cell)}"] += 1
-            s.ingest_object(mk_o(oid, cell, rng.sample(OBJECT_WORDS, 2), oid, n=16, m=16))
-            for _ in range(rng.randint(0, 3)):
-                s.tick()
-        s.drain()
-        owed: Counter = Counter()
-        for rname in s.router_names:
-            owed.update(s.workers[rname].owed)
-        assert s.counters["dropped_by_summary"] > 0
-        advanced = {name: s.workers[name].delivered - clocks[name] for name in s.evaluator_names}
-        # the clocks also counted drops, not only the objects delivered
-        assert sum(advanced.values()) > s.counters["forwarded_objects"]
-        for name in s.evaluator_names:
-            assert advanced[name] + owed[name] == routed[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -1351,42 +1351,42 @@ def run_drifting(on_send=None, before=None):
 
 
 # What run_drifting produces with one router keyword set per partition,
-# each transfer sending its region as one CELL_BATCH, and cleaning clocked
-# by every object routed to a partition, dropped or delivered.
+# each transfer sending its region as one CELL_BATCH, cleaning clocked by
+# the objects delivered to a partition, and each cleaning step evicting
+# every query the watermark has passed.
 PER_PARTITION_DIGEST = dict(
-    delivered_total=7112,
+    delivered_total=7084,
     sent={
-        "CellBatch": 18, "DataObject": 4475, "ForwardedTuple": 32,
-        "KeywordForward": 385, "PartitionUpdate": 30, "Query": 743,
+        "CellBatch": 18, "DataObject": 4478, "ForwardedTuple": 44,
+        "KeywordForward": 389, "PartitionUpdate": 30, "Query": 745,
         "RebalanceCommand": 325, "StatsReport": 115, "SummaryRefresh": 46,
     },
     decisions=[
         (310, "shift_v", "2/0", 36, 2.06, 4.0),
-        (610, "split_merge", "2/4/3/1", 39, 2.52, 2.2028985507246377),
-        (915, "shift_v", "0/2", 41, 0.42, 2.1132075471698113),
-        (1512, "shift_v", "0/2", 2, 1.1400000000000001, 3.6455696202531644),
-        (2111, "shift_v", "0/2", 120, 0.54, 3.5042735042735043),
-        (2711, "split_merge", "0/1/2/4", 41, 7.4, 3.2275862068965515),
-        (3014, "shift_corner", "2/1", 52, 1.62, 2.966666666666667),
-        (3313, "shift_h", "1/3", 283, 2.98, 3.6470588235294117),
-        (3613, "shift_v", "2/0", 110, 0.36, 3.0185185185185186),
-        (4210, "shift_h", "3/1", 179, 1.0, 4.0),
-        (4825, "shift_h", "3/1", 70, 0.9, 3.742857142857143),
-        (5113, "shift_corner", "1/2", 34, 1.12, 3.9245283018867925),
-        (6313, "split_merge", "3/4/1/0", 106, 5.54, 4.0),
-        (6613, "shift_v", "1/2", 341, 1.36, 3.9389312977099236),
-        (6912, "shift_v", "3/4", 163, 0.92, 4.0),
+        (610, "split_merge", "2/4/3/1", 39, 2.18, 2.18978102189781),
+        (912, "shift_v", "0/2", 41, 0.34, 2.217821782178218),
+        (1513, "shift_v", "0/2", 6, 0.78, 3.9402985074626864),
+        (2114, "shift_v", "0/2", 106, 0.54, 3.5728155339805827),
+        (2712, "split_merge", "0/1/4/2", 21, 4.92, 3.2058823529411766),
+        (3011, "shift_corner", "4/1", 48, 0.9400000000000001, 3.041322314049587),
+        (3314, "shift_h", "1/3", 219, 1.94, 3.625730994152047),
+        (3611, "shift_h", "3/1", 38, 0.6, 3.1242603550295858),
+        (3917, "shift_v", "4/0", 101, 0.26, 3.7777777777777777),
+        (4512, "shift_h", "3/1", 26, 0.6, 3.7837837837837838),
+        (4827, "shift_corner", "1/4", 30, 0.0, 3.324675324675325),
+        (6315, "split_merge", "3/2/1/0", 214, 7.36, 4.0),
+        (6612, "shift_v", "1/4", 259, 0.22, 3.409090909090909),
+        (6911, "shift_h", "2/3", 112, 0.56, 4.0),
     ],
     alphas=[
-        4.0, 2.2028985507246377, 2.1132075471698113, 1.6923076923076923,
-        3.6455696202531644, 3.4439461883408073, 3.5042735042735043,
-        2.962962962962963, 3.2275862068965515, 2.966666666666667,
-        3.6470588235294117, 3.0185185185185186, 2.6875, 4.0, 3.774011299435028,
-        3.742857142857143, 3.9245283018867925, 4.0, 4.0, 4.0, 4.0,
-        3.9389312977099236, 4.0,
+        4.0, 2.18978102189781, 2.217821782178218, 1.8666666666666667,
+        3.9402985074626864, 3.461139896373057, 3.5728155339805827, 3.088607594936709,
+        3.2058823529411766, 3.041322314049587, 3.625730994152047, 3.1242603550295858,
+        3.7777777777777777, 3.684848484848485, 3.7837837837837838, 3.324675324675325,
+        3.925925925925926, 4.0, 4.0, 4.0, 4.0, 3.409090909090909, 4.0,
     ],
     counters={
-        "candidates": 3574, "dropped_by_summary": 1, "forwarded_objects": 2399,
+        "candidates": 3026, "dropped_by_summary": 1, "forwarded_objects": 2399,
         "rebalance_count": 15,
     },
 )
@@ -1396,44 +1396,38 @@ PER_PARTITION_DIGEST = dict(
 # routers, which shifts the delivery ticks, and with them the stats rounds'
 # windows and the later ops' figures; the matches are the same.
 PER_BLOCK_DIGEST = dict(
-    delivered_total=6971,
+    delivered_total=6876,
     sent={
-        "CellBatch": 21, "DataObject": 4394, "ForwardedTuple": 30,
-        "KeywordForward": 387, "PartitionUpdate": 38, "Query": 743,
-        "RebalanceCommand": 363, "StatsReport": 115, "SummaryRefresh": 50,
+        "CellBatch": 17, "DataObject": 4377, "ForwardedTuple": 41,
+        "KeywordForward": 387, "PartitionUpdate": 28, "Query": 745,
+        "RebalanceCommand": 308, "StatsReport": 110, "SummaryRefresh": 44,
     },
     decisions=[
         (313, "shift_v", "2/0", 37, 2.06, 4.0),
-        (610, "split_merge", "2/4/3/1", 39, 2.52, 2.1739130434782608),
-        (911, "shift_v", "0/2", 41, 0.42, 2.055045871559633),
-        (1515, "shift_v", "0/2", 11, 1.1400000000000001, 3.950617283950617),
-        (1815, "shift_v", "0/2", 1, 0.9400000000000001, 3.4260089686098656),
-        (2712, "split_merge", "0/1/2/4", 54, 7.18, 3.272727272727273),
-        (3012, "shift_corner", "2/1", 51, 1.58, 2.9523809523809526),
-        (3311, "shift_h", "1/3", 278, 2.94, 3.66),
-        (3615, "shift_v", "2/0", 109, 0.7000000000000001, 2.958139534883721),
-        (3910, "shift_h", "3/1", 14, 1.48, 3.081967213114754),
-        (4211, "shift_corner", "1/2", 31, 1.1, 3.6751269035532994),
-        (4513, "shift_corner", "3/2", 3, 0.06, 3.807486631016043),
-        (4828, "shift_h", "3/1", 124, 0.92, 3.6226415094339623),
-        (5115, "shift_h", "1/0", 158, 0.52, 3.925925925925926),
-        (5410, "shift_h", "3/1", 27, 0.9, 4.0),
-        (5714, "shift_h", "1/0", 92, 0.6, 3.9611650485436893),
-        (6313, "shift_h", "3/1", 128, 0.72, 4.0),
-        (6609, "shift_h", "3/1", 133, 0.5, 4.0),
-        (6912, "shift_h", "3/1", 24, 0.34, 4.0),
+        (610, "split_merge", "2/4/3/1", 39, 2.18, 2.1739130434782608),
+        (911, "shift_v", "0/2", 41, 0.34, 2.174757281553398),
+        (1513, "shift_v", "0/2", 14, 0.78, 3.9466666666666668),
+        (2113, "shift_v", "0/2", 107, 0.54, 3.519230769230769),
+        (2711, "split_merge", "0/1/4/2", 30, 4.98, 3.2653061224489797),
+        (3012, "shift_corner", "4/1", 48, 0.9400000000000001, 3.103448275862069),
+        (3312, "shift_h", "1/3", 216, 1.94, 3.606936416184971),
+        (3610, "shift_h", "3/1", 51, 0.6, 3.103030303030303),
+        (3912, "shift_v", "4/0", 101, 0.32, 4.0),
+        (4514, "shift_h", "3/1", 41, 0.54, 3.7866666666666666),
+        (4827, "shift_corner", "1/4", 30, 0.0, 3.4285714285714284),
+        (6313, "split_merge", "3/2/0/1", 293, 1.3, 4.0),
+        (6614, "shift_v", "0/4", 265, 0.1, 4.0),
     ],
     alphas=[
-        4.0, 2.1739130434782608, 2.055045871559633, 1.6603773584905661,
-        3.950617283950617, 3.4260089686098656, 2.9783549783549783,
-        2.6074074074074076, 3.272727272727273, 2.9523809523809526, 3.66,
-        2.958139534883721, 3.081967213114754, 3.6751269035532994,
-        3.807486631016043, 3.6226415094339623, 3.925925925925926, 4.0,
-        3.9611650485436893, 4.0, 4.0, 4.0, 4.0,
+        4.0, 2.1739130434782608, 2.174757281553398, 1.878787878787879,
+        3.9466666666666668, 3.4554973821989527, 3.519230769230769, 3.142857142857143,
+        3.2653061224489797, 3.103448275862069, 3.606936416184971, 3.103030303030303,
+        4.0, 3.611428571428571, 3.7866666666666666, 3.4285714285714284,
+        3.955056179775281, 4.0, 4.0, 4.0, 4.0, 4.0,
     ],
     counters={
-        "candidates": 3590, "dropped_by_summary": 92, "forwarded_objects": 2308,
-        "rebalance_count": 19,
+        "candidates": 3015, "dropped_by_summary": 111, "forwarded_objects": 2289,
+        "rebalance_count": 14,
     },
 )
 
