@@ -402,8 +402,8 @@ class EvaluatorState:
         object timestamp that may still arrive), then advance the refresh
         cursor by `budget` cells.
 
-        The cursor scans nothing; it only times the refresh. Returns the
-        rebuilt per-block summary when it completes a cycle, else None.
+        The cursor only times the refresh: returns the rebuilt per-block
+        summary when it completes a cycle, else None.
         """
         total = self.owned_cell_count()
         if total == 0:

@@ -511,7 +511,8 @@ class TestCleaning:
         while ev.cleaning_step(watermark=10, budget=4) is None:
             pass
         assert set(ev.registry) == {2}
-        # no step scans again until the watermark passes what is left
+        # no step looks for expired queries again until the watermark
+        # passes what is left
         assert ev._expiry_floor == 50
 
     def test_one_step_evicts_a_query_from_every_cell(self):
