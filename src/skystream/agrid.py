@@ -381,6 +381,8 @@ def dump_partitioning(grid: AGrid) -> str:
 
 def load_partitioning(text: str) -> AGrid:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty partitioning: no header line")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "agrid":
         raise ValueError(f"bad partitioning header: {lines[0]!r}")
@@ -388,6 +390,8 @@ def load_partitioning(text: str) -> AGrid:
     pm: dict[int, CellRect] = {}
     for ln in lines[1:]:
         pid, x0, y0, x1, y1 = (int(v) for v in ln.split())
+        if pid in pm:
+            raise ValueError(f"partition {pid} is listed twice")
         pm[pid] = (x0, y0, x1, y1)
     return AGrid(n, m, pm, generation=generation)
 

@@ -8,7 +8,7 @@ belongs to exactly one tile) and is relied on by the grid and routing layers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 __all__ = [

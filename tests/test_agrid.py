@@ -317,6 +317,16 @@ class TestSerialization:
         with pytest.raises(TilingError):
             load_partitioning("agrid 4 4 0\n0 0 0 3 2\n")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_load_rejects_text_without_a_header(self, text):
+        with pytest.raises(ValueError, match="no header"):
+            load_partitioning(text)
+
+    def test_load_rejects_a_pid_listed_twice(self):
+        # the second line alone would tile the grid; it must not overwrite the first
+        with pytest.raises(ValueError, match="partition 0 is listed twice"):
+            load_partitioning("agrid 4 4 0\n0 0 0 1 3\n0 0 0 3 3\n")
+
 
 class TestSummaryContribution:
     def test_overlaps_contributes_all(self):
