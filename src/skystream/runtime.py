@@ -579,7 +579,8 @@ class EvaluatorWorker:
             if self.delivered % interval == 0:
                 self.maybe_clean()
         self.window_cost += cost
-        sys.no_candidate_objects += no_candidate
+        if no_candidate:
+            sys.counters["no_candidate_objects"] += no_candidate
         if forwarded < len(batch):
             sys.counters["candidates"] += charged
 
@@ -860,7 +861,7 @@ class TextualEvaluator(EvaluatorWorker):
         for o, _ in batch:
             cand = self.flat.candidates(o.text)
             if not cand:
-                sys.no_candidate_objects += 1
+                sys.counters["no_candidate_objects"] += 1
             sys.counters["candidates"] += len(cand)
             out = []
             for qid in sorted(cand):
@@ -929,9 +930,6 @@ class System:
         self.on_match = on_match
         self.results: list[MatchResult] = []
         self.counters: Counter = Counter()
-        # objects an evaluator received and found no candidate for; kept out
-        # of `counters` so those read the same as before it was counted
-        self.no_candidate_objects = 0
         self.metrics: list[dict] = []
         self.decisions: list[dict] = []
         self.channels: dict[tuple, deque] = {}
@@ -1106,7 +1104,7 @@ class System:
             "droppedBySummary": self.counters["dropped_by_summary"],
             "peakChannelDepth": self.peak_channel_depth,
             "rebalanceCount": self.counters["rebalance_count"],
-            "forwardedNoCandidate": self.no_candidate_objects,
+            "forwardedNoCandidate": self.counters["no_candidate_objects"],
         })
         return alpha
 

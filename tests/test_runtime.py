@@ -613,9 +613,9 @@ class TestMixedBatch:
 
         assert dict(s.counters) == {
             "out_of_world": 1, "forwarded_objects": 3 if agrid else 4, "candidates": 2,
-            "rebalance_count": 1, **({"dropped_by_summary": 1} if agrid else {}),
+            "rebalance_count": 1, "no_candidate_objects": 1 if agrid else 2,
+            **({"dropped_by_summary": 1} if agrid else {}),
         }
-        assert s.no_candidate_objects == (1 if agrid else 2)
         assert (e0.window_cost, e1.window_cost) == (1, 1)
         assert sorted_results(s) == [(1, 12, 12), (2, 14, 14)]
         assert s._inflight == {}
@@ -1387,7 +1387,7 @@ PER_PARTITION_DIGEST = dict(
     ],
     counters={
         "candidates": 3026, "dropped_by_summary": 1, "forwarded_objects": 2399,
-        "rebalance_count": 15,
+        "no_candidate_objects": 755, "rebalance_count": 15,
     },
 )
 
@@ -1427,7 +1427,7 @@ PER_BLOCK_DIGEST = dict(
     ],
     counters={
         "candidates": 3015, "dropped_by_summary": 111, "forwarded_objects": 2289,
-        "rebalance_count": 14,
+        "no_candidate_objects": 652, "rebalance_count": 14,
     },
 )
 
