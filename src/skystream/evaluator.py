@@ -53,7 +53,6 @@ from .agrid import (
     block_range,
     corner_shift_candidates,
     full_edge_neighbors,
-    rect_cells,
     rect_contains_cell,
     rect_intersect,
     summary_contribution,
@@ -283,9 +282,6 @@ class EvaluatorState:
         # never changes a dict it has returned; and the blocks to recompute
         self._blocks: dict[tuple[int, int], frozenset[str]] = {}
         self._stale: set[tuple[int, int]] = set()
-        # refresh cursor: each cleaning step advances it by its budget, and
-        # passing the owned cell count ends a cycle with a refresh
-        self._cursor = 0
         # no registered query expires before this; lowered on registration,
         # raised by each eviction
         self._expiry_floor = float("inf")
@@ -294,9 +290,6 @@ class EvaluatorState:
 
     def owns_cell(self, cell: tuple[int, int]) -> bool:
         return self.bounds is not None and rect_contains_cell(self.bounds, cell)
-
-    def owned_cell_count(self) -> int:
-        return rect_cells(self.bounds) if self.bounds else 0
 
     # -- registration ------------------------------------------------------
 
@@ -397,24 +390,14 @@ class EvaluatorState:
     # -- expiry / cleaning ----------------------------------------------------
 
     def cleaning_step(self, watermark: int,
-                      budget: int) -> dict[tuple[int, int], frozenset[str]] | None:
+                      refresh: bool) -> dict[tuple[int, int], frozenset[str]] | None:
         """Evict every query whose expiry precedes the watermark (the smallest
-        object timestamp that may still arrive), then advance the refresh
-        cursor by `budget` cells.
-
-        The cursor only times the refresh: returns the rebuilt per-block
-        summary when it completes a cycle, else None.
+        object timestamp that may still arrive); with `refresh`, return the
+        rebuilt per-block summary, else None.
         """
-        total = self.owned_cell_count()
-        if total == 0:
-            return self.summary_blocks()
         if self._expiry_floor < watermark:  # else no query can be evicted yet
             self._evict(watermark)
-        self._cursor = min(self._cursor + max(1, budget), total)
-        if self._cursor >= total:
-            self._cursor = 0
-            return self.summary_blocks()
-        return None
+        return self.summary_blocks() if refresh else None
 
     def _evict(self, watermark: int) -> None:
         """Detach each query expiring before `watermark` from every owned cell
@@ -630,7 +613,6 @@ class EvaluatorState:
             self._retire(qid, n)
         self.bounds = remainder
         self._touch(region)
-        self._keep_cursor()
 
     def absorb_cells(self, batch: CellBatch) -> None:
         """Merge a migrated region into this evaluator, adopting its cells whole.
@@ -658,7 +640,6 @@ class EvaluatorState:
             self._admit(records[qid], n)
         self.bounds = new_bounds
         self._touch(region)
-        self._keep_cursor()
 
     def _add_cell_sums(self, coord: tuple[int, int], cost: int, copies: int) -> None:
         """Add one cell's cost and query copies to the aggregates, negative to
@@ -670,16 +651,6 @@ class EvaluatorState:
         if copies:
             self.col_q[coord[0]] += copies
             self.row_q[coord[1]] += copies
-
-    def _keep_cursor(self) -> None:
-        """Carry the refresh cursor across a bounds change.
-
-        Restarting it would keep a partition that migrates more often than
-        a cycle lasts from ever completing one, and so from ever refreshing
-        its summary. The cursor only times the refresh, which is built from
-        the cells' indexes, so a cycle that spans a bounds change is sound.
-        """
-        self._cursor = min(self._cursor, self.owned_cell_count())
 
 
 def strip_remainder(rect: CellRect | None, strip: CellRect) -> CellRect | None:

@@ -27,8 +27,8 @@ The last hand-off ordering matters: if src could publish a refresh before
 every router had seen dst's, a router could prune the keywords of a migrated
 query while still relying on src's summary to cover dst.
 
-A summary refresh, the periodic one at the end of a cleaning cycle and the
-flush alike, carries the evaluator's keyword set per summary block
+A summary refresh, the periodic one on every REFRESH_STEPS-th cleaning step
+and the flush alike, carries the evaluator's keyword set per summary block
 (`agrid.summary_block`) and the registration seqs it has seen per origin;
 routers gate each object on its block's set, plus the keywords of the
 partition's registrations that no refresh has covered yet and whose block
@@ -186,6 +186,10 @@ class Scheduler:
 
 
 # -- configuration ------------------------------------------------------------------
+
+# An agrid evaluator sends its summary to the routers on every
+# REFRESH_STEPS-th cleaning step it runs.
+REFRESH_STEPS = 32
 
 
 @dataclass
@@ -503,6 +507,7 @@ class EvaluatorWorker:
         self.window_cost = 0
         self.delivered = 0  # the cleaning clock
         self.clean_interval = cfg.clean_interval
+        self.cleaning_steps = 0  # steps run, which time the periodic refresh
 
     @property
     def origin(self) -> tuple:
@@ -740,9 +745,10 @@ class EvaluatorWorker:
     def maybe_clean(self) -> None:
         if self.transient is not None or self.state.bounds is None:
             return  # mid-transfer, or owning nothing
-        budget = max(1, self.state.owned_cell_count() // 32)
-        blocks = self.state.cleaning_step(self.sys.watermark(), budget)
-        if blocks is not None and self.sys.use_summaries:
+        self.cleaning_steps += 1
+        refresh = self.sys.use_summaries and self.cleaning_steps % REFRESH_STEPS == 0
+        blocks = self.state.cleaning_step(self.sys.watermark(), refresh)
+        if blocks is not None:
             self.broadcast_refresh(blocks, flush_of=None)
 
     def broadcast_refresh(self, blocks: dict[tuple[int, int], frozenset[str]],

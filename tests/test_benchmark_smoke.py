@@ -43,8 +43,9 @@ def test_every_workload_passes_every_check():
     check(traced, "query-churn traced")
     assert [name for name in traced["metrics"]] == [name for name, _ in PER_LAYER]
     # a change that stops eviction or cleaning fails here, not only in
-    # messages_per_event; at this scale no partition completes a refresh
-    # cycle, so runtime.msgs.SummaryRefresh reads 0 and cannot be guarded
+    # messages_per_event; at this scale no partition runs REFRESH_STEPS
+    # cleaning steps, so runtime.msgs.SummaryRefresh reads 0 here, and
+    # tests/test_runtime.py::TestRefreshSteps checks the refresh end to end
     for name in ("evaluator.queries_evicted", "evaluator.cleaning_steps"):
         assert traced["metrics"][name]["value"] > 0, name
 

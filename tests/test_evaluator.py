@@ -61,9 +61,8 @@ def make_object(geom, oid, i, j, text=("coffee",), ts=0):
 
 
 def full_cleaning_cycle(ev: EvaluatorState, now: int) -> None:
-    """Evict every query with expiry <= now, and end the refresh cycle from
-    wherever the cursor stands."""
-    ev.cleaning_step(now + 1, budget=ev.owned_cell_count())
+    """Evict every query with expiry <= now, in a step that asks for the refresh."""
+    ev.cleaning_step(now + 1, refresh=True)
 
 
 def check_aggregates(ev: EvaluatorState) -> None:
@@ -180,12 +179,12 @@ class TestSummaryCounts:
         before = {(0, 0): frozenset({"old", "new"}), (1, 0): frozenset({"old"})}
         assert ev.summary_blocks() == before
         # the first step evicts query 1 from all 16 of its cells; the refresh
-        # waits for the cursor to end its cycle
-        assert ev.cleaning_step(watermark=10, budget=8) is None
+        # waits for a step that asks for it
+        assert ev.cleaning_step(watermark=10, refresh=False) is None
         assert set(ev.registry) == set(ev.attach_count) == {2}
         assert ev.overall_q == 4
         check_aggregates(ev)
-        assert ev.cleaning_step(watermark=10, budget=56) == {(0, 0): frozenset({"new"})}
+        assert ev.cleaning_step(watermark=10, refresh=True) == {(0, 0): frozenset({"new"})}
         check_summary(ev)
 
     def test_absorbed_query_counts_once_on_each_side(self):
@@ -483,9 +482,7 @@ class TestCleaning:
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         ev.register_query(make_query(g, 1, 0, 0, 3, 3, expiry=5, text=("old",)))
         ev.register_query(make_query(g, 2, 0, 0, 3, 3, expiry=50, text=("new",)))
-        done = None
-        while done is None:
-            done = ev.cleaning_step(watermark=10, budget=4)
+        done = ev.cleaning_step(watermark=10, refresh=True)
         assert 1 not in ev.registry and 2 in ev.registry
         assert done == {(0, 0): frozenset({"new"})}
         check_aggregates(ev)
@@ -497,8 +494,7 @@ class TestCleaning:
         g = GridGeometry(2, 2)
         ev = EvaluatorState(0, g, (0, 0, 1, 1))
         ev.register_query(make_query(g, 1, 0, 0, 1, 1, expiry=10))
-        while ev.cleaning_step(watermark=10, budget=1) is None:
-            pass
+        ev.cleaning_step(watermark=10, refresh=False)
         assert 1 in ev.registry
         assert [r.qid for r in ev.process_object(make_object(g, 1, 0, 0, ts=10))] == [1]
 
@@ -508,8 +504,7 @@ class TestCleaning:
         ev.register_query(make_query(g, 1, 0, 0, 0, 0, expiry=5, text=("old",)))
         ev.register_query(make_query(g, 2, 0, 0, 3, 3, expiry=50, text=("new",)))
         assert ev._expiry_floor == 5
-        while ev.cleaning_step(watermark=10, budget=4) is None:
-            pass
+        ev.cleaning_step(watermark=10, refresh=False)
         assert set(ev.registry) == {2}
         # no step looks for expired queries again until the watermark
         # passes what is left
@@ -522,10 +517,9 @@ class TestCleaning:
         ev.register_query(make_query(g, 2, 2, 2, 5, 5, text=("new",), expiry=50))
         ev.register_query(make_query(g, 3, 0, 6, 1, 7, predicate=Predicate.INSIDE, text=(),
                                      expiry=5))
-        assert ev.cleaning_step(watermark=0, budget=20) is None
-        # query 1 holds cells 8..39 of the row-major order: behind the
-        # cursor (at 20) and ahead of it
-        assert ev.cleaning_step(watermark=10, budget=1) is None
+        assert ev.cleaning_step(watermark=0, refresh=False) is None
+        # query 1 holds cells 8..39 of the row-major order
+        assert ev.cleaning_step(watermark=10, refresh=False) is None
         assert set(ev.registry) == set(ev.attach_count) == {2}
         assert all(cell.qids <= {2} for cell in ev.cells.values())
         assert set(ev.cells) == set(iter_region((2, 2, 5, 5)))
@@ -541,14 +535,14 @@ class TestCleaning:
         for ev in (left, right):
             ev.register_query(dying)
             ev.register_query(make_query(g, 2, 0, 0, 7, 7, text=("new",), expiry=50))
-        right.cleaning_step(watermark=10, budget=1)  # right no longer holds query 1
+        right.cleaning_step(watermark=10, refresh=False)  # right no longer holds query 1
         left.absorb_cells(take_region(right, (4, 0, 4, 7)))
         below.absorb_cells(take_region(left, (0, 0, 4, 1)))
         # left holds query 1 in columns 2..3 of rows 2..7 only, though its
         # range also spans column 4 there
         assert left.bounds == (0, 2, 4, 7) and left.attach_count[1] == 12
         copies = left.overall_q
-        left.cleaning_step(watermark=10, budget=1)
+        left.cleaning_step(watermark=10, refresh=False)
         assert left.overall_q == copies - 12
         assert set(left.registry) == {2}
         for ev in (left, right, below):
@@ -561,37 +555,13 @@ class TestCleaning:
         for qid, expiry in enumerate((7, 5, 50, 30, 9)):
             ev.register_query(make_query(g, qid, qid % 4, 0, 3, 3, expiry=expiry))
         assert ev._expiry_floor == 5
-        assert ev.cleaning_step(watermark=8, budget=1) is None
+        assert ev.cleaning_step(watermark=8, refresh=False) is None
         assert {q.expiry for q in ev.registry.values()} == {50, 30, 9}
         assert ev._expiry_floor == 9
-        ev.cleaning_step(watermark=20, budget=1)
+        ev.cleaning_step(watermark=20, refresh=False)
         assert ev._expiry_floor == 30
-        ev.cleaning_step(watermark=60, budget=1)
+        ev.cleaning_step(watermark=60, refresh=False)
         assert not ev.registry and ev._expiry_floor == float("inf")
-
-    def test_budget_paces_the_cursor(self):
-        g = GridGeometry(4, 4)
-        ev = EvaluatorState(0, g, (0, 0, 3, 3))
-        ev.register_query(make_query(g, 1, 0, 0, 3, 3))
-        steps = 0
-        while ev.cleaning_step(watermark=0, budget=4) is None:
-            steps += 1
-        assert steps == 3  # 16 cells at 4 per step, summary on the 4th
-
-    def test_a_migration_does_not_restart_the_cycle(self):
-        g = GridGeometry(4, 4)
-        ev = EvaluatorState(0, g, (0, 0, 3, 3))
-        ev.register_query(make_query(g, 1, 0, 0, 3, 3))
-        assert ev.cleaning_step(watermark=0, budget=4) is None
-        assert ev.cleaning_step(watermark=0, budget=4) is None  # 8 of 16 cells
-        ev.extract_cells((0, 3, 3, 3))
-        # 12 cells are left and 8 were walked: one more step ends the cycle
-        assert ev.cleaning_step(watermark=0, budget=4) == {(0, 0): frozenset({"coffee"})}
-        # a cursor past the new end is clamped, and the next step ends the cycle
-        assert ev.cleaning_step(watermark=0, budget=4) is None
-        assert ev.cleaning_step(watermark=0, budget=4) is None
-        ev.extract_cells((0, 0, 3, 1))
-        assert ev.cleaning_step(watermark=0, budget=4) == {(0, 0): frozenset({"coffee"})}
 
     def test_full_cleaning_cycle_now_boundary(self):
         g = GridGeometry(2, 2)
@@ -605,7 +575,7 @@ class TestCleaning:
         g = GridGeometry(4, 4)
         ev = EvaluatorState(0, g, (0, 0, 3, 3))
         rng = random.Random(11)
-        # one expired query sits only in the first cell, behind the cursor
+        # one expired query sits only in the first cell
         queries = [make_query(g, 0, 0, 0, 0, 0, text=("a",), expiry=3)]
         for qid in range(1, 30):
             x0, y0 = rng.randrange(4), rng.randrange(4)
@@ -614,8 +584,7 @@ class TestCleaning:
                                       expiry=rng.randrange(20)))
         for q in queries:
             ev.register_query(q)
-        ev.cleaning_step(watermark=0, budget=6)  # evicts nothing, moves the cursor
-        assert ev._cursor == 6
+        ev.cleaning_step(watermark=0, refresh=False)  # evicts nothing
         full_cleaning_cycle(ev, now=9)
         assert set(ev.registry) == {q.qid for q in queries if q.expiry > 9}
         assert ev.registry and len(ev.registry) < len(queries)
@@ -909,7 +878,7 @@ def test_random_operations_keep_books_balanced(data):
             full_cleaning_cycle(ev, now)
             assert all(q.expiry > now for q in ev.registry.values())
         else:
-            ev.cleaning_step(data.draw(st.integers(0, 30)), budget=data.draw(st.integers(1, 9)))
+            ev.cleaning_step(data.draw(st.integers(0, 30)), refresh=data.draw(st.booleans()))
         # eviction is skipped below the floor, so it must never pass a live query
         assert all(ev._expiry_floor <= q.expiry for q in ev.registry.values())
     check_aggregates(ev)
@@ -968,7 +937,7 @@ def test_random_migrations_adopt_cells_whole(data):
         elif op == "clean":
             side = data.draw(st.sampled_from([left, right]))
             if side.bounds is not None:
-                side.cleaning_step(ts, budget=data.draw(st.integers(1, 12)))
+                side.cleaning_step(ts, refresh=data.draw(st.booleans()))
         else:
             to_right = data.draw(st.booleans())
             donor_width = cut + 1 if to_right else 5 - cut
@@ -1084,7 +1053,7 @@ def test_compact_cells_equal_a_plain_set_index(data):
                 continue
             for coord in iter_region(ev.bounds):  # a step evicts whole queries
                 ref[coord] = {h for h in ref[coord] if queries[h].expiry >= ts}
-            ev.cleaning_step(ts, budget=data.draw(st.integers(1, 12)))
+            ev.cleaning_step(ts, refresh=data.draw(st.booleans()))
         elif op == "move":
             to_right = data.draw(st.booleans())
             donor_width = cut + 1 if to_right else 5 - cut

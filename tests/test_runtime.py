@@ -23,7 +23,7 @@ from test_evaluator import blocks_from_cells
 from skystream import agrid as agrid_mod
 from skystream.agrid import ANY_KEYWORD, SUMMARY_BLOCK, RoutingUnit, uniform_partitioning
 from skystream.balancer import OpKind, RebalanceOp
-from skystream.evaluator import CellIndex, RegionMismatchError, iter_region
+from skystream.evaluator import CellIndex, EvaluatorState, RegionMismatchError, iter_region
 from skystream.model import (
     ContinuousQuery,
     MatchResult,
@@ -33,6 +33,7 @@ from skystream.model import (
     SpatialKeywordObject,
 )
 from skystream.runtime import (
+    REFRESH_STEPS,
     MsgKind,
     ProtocolViolation,
     Scheduler,
@@ -868,8 +869,8 @@ class TestCleaningAndRefresh:
         s.drain()
         assert (2, 1, 5) in set(map(tuple, s.results))
 
-        # a steady stream past the expiry walks the cleaning cursor around
-        # the partition and rebuilds the summary without the dead query
+        # a steady stream past the expiry runs cleaning steps: the first
+        # evicts the dead query, and the 32nd sends a summary without it
         for k in range(150):
             s.ingest_object(mk_o(10 + k, (x0 + k % 2, y0), ["filler"], 20 + k))
         s.drain()
@@ -894,8 +895,8 @@ class TestCleaningAndRefresh:
         steps = []  # (watermark, query 1 still registered) after each step
         step = e0.state.cleaning_step
 
-        def logged(watermark, budget):
-            out = step(watermark, budget)
+        def logged(watermark, refresh):
+            out = step(watermark, refresh)
             steps.append((watermark, 1 in e0.state.registry))
             return out
 
@@ -914,6 +915,102 @@ class TestCleaningAndRefresh:
         assert s.counters["dropped_by_summary"] == 392
         assert steps and steps[0][0] > 10
         assert not any(held for _, held in steps), steps
+
+
+class TestRefreshSteps:
+    """An agrid evaluator refreshes on every REFRESH_STEPS-th cleaning step it runs."""
+
+    @staticmethod
+    def periodic_refreshes(s) -> list[tuple[str, str, int]]:
+        """Logs (sender, router, cleaning steps the sender had run) for each
+        refresh `s` sends from here on that is not a migration's flush."""
+        log = []
+
+        def on_send(sender, receiver, kind, payload):
+            if kind is MsgKind.SUMMARY_REFRESH and payload["flush_of"] is None:
+                log.append((sender, receiver, s.workers[sender].cleaning_steps))
+
+        count_sends(s, on_send)
+        return log
+
+    def test_every_32nd_step_sends_each_router_one_refresh(self):
+        cfg = SystemConfig(grid_n=8, grid_m=8, routers=2, evaluators=2, seed=4,
+                           stats_cadence=BIG, clean_interval=1)
+        s = System(cfg, pm={0: (0, 0, 1, 7), 1: (2, 0, 7, 7)})  # 16 and 48 cells
+        log = self.periodic_refreshes(s)
+        s.ingest_query(mk_q(1, (0, 0, 7, 7), ["tea"]))
+        s.drain()
+        for k in range(120):  # one object into each partition
+            s.ingest_object(mk_o(2 * k, (k % 2, k % 8), ["tea"], k))
+            s.ingest_object(mk_o(2 * k + 1, (2 + k % 6, k % 8), ["tea"], k))
+            if k % 10 == 9:
+                s.drain()
+        s.drain()
+        for name in ("e0", "e1"):
+            steps = s.workers[name].cleaning_steps
+            assert steps > 3 * REFRESH_STEPS
+            assert [entry for entry in log if entry[0] == name] == [
+                (name, rname, k) for k in range(REFRESH_STEPS, steps + 1, REFRESH_STEPS)
+                for rname in s.router_names]
+
+    def test_the_step_count_carries_across_a_migration(self):
+        s = shift_fixture()  # two partitions of 32 cells; no delivery cleans
+        e0, e1 = s.workers["e0"], s.workers["e1"]
+        log = self.periodic_refreshes(s)
+        for _ in range(REFRESH_STEPS - 10):
+            e0.maybe_clean()
+            e1.maybe_clean()
+        s.trigger_stats()
+        s.drain()
+        assert s.counters["rebalance_count"] == 1
+        assert (e0.state.bounds, e1.state.bounds) == ((0, 0, 2, 7), (3, 0, 7, 7))
+        for _ in range(9):
+            e0.maybe_clean()
+            e1.maybe_clean()
+        assert log == []
+        e0.maybe_clean()
+        e1.maybe_clean()
+        assert log == [(name, rname, REFRESH_STEPS)
+                       for name in ("e0", "e1") for rname in s.router_names]
+
+    @pytest.mark.parametrize("mode, evicted", [
+        ("uniform", {0: 51, 1: 65, 2: 66, 3: 43}),
+        ("broadcast", {0: 45, 1: 46, 2: 45, 3: 46}),
+    ])
+    def test_modes_without_summaries_build_none(self, monkeypatch, mode, evicted):
+        built = []
+        gone: Counter = Counter()  # pid -> queries its cleaning steps evicted
+        build, step = EvaluatorState.summary_blocks, EvaluatorState.cleaning_step
+
+        def counted_build(st):
+            built.append(st.pid)
+            return build(st)
+
+        def counted_step(st, watermark, refresh):
+            before = len(st.registry)
+            out = step(st, watermark, refresh)
+            gone[st.pid] += before - len(st.registry)
+            return out
+
+        monkeypatch.setattr(EvaluatorState, "summary_blocks", counted_build)
+        monkeypatch.setattr(EvaluatorState, "cleaning_step", counted_step)
+        cfg = SystemConfig(grid_n=32, grid_m=32, routers=2, evaluators=4, seed=5,
+                           stats_cadence=BIG, clean_interval=8, mode=mode)
+        s = System(cfg)
+        rng = random.Random(5)
+        words = ["ash", "birch", "cedar"]
+        for ts in range(3000):
+            if ts % 15 == 0:
+                x0, y0 = rng.randrange(28), rng.randrange(28)
+                s.ingest_query(mk_q(ts // 15, (x0, y0, x0 + 3, y0 + 3), [rng.choice(words)],
+                                    expiry=ts + rng.randrange(50, 400), n=32, m=32))
+            s.ingest_object(mk_o(ts, (rng.randrange(32), rng.randrange(32)),
+                                 [rng.choice(words)], ts, n=32, m=32))
+            if ts % 50 == 49:
+                s.drain()
+        s.drain()
+        assert built == []
+        assert dict(gone) == evicted
 
 
 class TestPendingBlockRanges:
@@ -1253,8 +1350,8 @@ class TestBoundedState:
         assert pending < registered // 2
 
     def test_cleaning_cycles_complete_across_frequent_migrations(self):
-        # cleaning is slow here, so partitions migrate more often than a
-        # cleaning cycle lasts; a cycle must still end and refresh
+        # cleaning is slow here, so partitions migrate more often than
+        # REFRESH_STEPS steps run; their steps must still reach a refresh
         cycles: dict[str, int] = {}
 
         def count_cycles(s):
@@ -1262,8 +1359,8 @@ class TestBoundedState:
                 st = s.workers[name].state
                 step = st.cleaning_step
 
-                def counted(watermark, budget, step=step, name=name):
-                    kws = step(watermark, budget)
+                def counted(watermark, refresh, step=step, name=name):
+                    kws = step(watermark, refresh)
                     cycles[name] = cycles.get(name, 0) + (kws is not None)
                     return kws
 
@@ -1352,42 +1449,44 @@ def run_drifting(on_send=None, before=None):
 
 # What run_drifting produces with one router keyword set per partition,
 # each transfer sending its region as one CELL_BATCH, cleaning clocked by
-# the objects delivered to a partition, and each cleaning step evicting
-# every query the watermark has passed.
+# the objects delivered to a partition, each cleaning step evicting every
+# query the watermark has passed, and a summary refresh on every
+# REFRESH_STEPS-th step an evaluator runs.
 PER_PARTITION_DIGEST = dict(
-    delivered_total=7084,
+    delivered_total=7141,
     sent={
-        "CellBatch": 18, "DataObject": 4478, "ForwardedTuple": 44,
-        "KeywordForward": 389, "PartitionUpdate": 30, "Query": 745,
-        "RebalanceCommand": 325, "StatsReport": 115, "SummaryRefresh": 46,
+        "CellBatch": 19, "DataObject": 4479, "ForwardedTuple": 44,
+        "KeywordForward": 389, "PartitionUpdate": 32, "Query": 745,
+        "RebalanceCommand": 337, "StatsReport": 115, "SummaryRefresh": 46,
     },
     decisions=[
         (310, "shift_v", "2/0", 36, 2.06, 4.0),
         (610, "split_merge", "2/4/3/1", 39, 2.18, 2.18978102189781),
-        (912, "shift_v", "0/2", 41, 0.34, 2.217821782178218),
-        (1513, "shift_v", "0/2", 6, 0.78, 3.9402985074626864),
-        (2114, "shift_v", "0/2", 106, 0.54, 3.5728155339805827),
-        (2712, "split_merge", "0/1/4/2", 21, 4.92, 3.2058823529411766),
-        (3011, "shift_corner", "4/1", 48, 0.9400000000000001, 3.041322314049587),
-        (3314, "shift_h", "1/3", 219, 1.94, 3.625730994152047),
-        (3611, "shift_h", "3/1", 38, 0.6, 3.1242603550295858),
-        (3917, "shift_v", "4/0", 101, 0.26, 3.7777777777777777),
-        (4512, "shift_h", "3/1", 26, 0.6, 3.7837837837837838),
-        (4827, "shift_corner", "1/4", 30, 0.0, 3.324675324675325),
-        (6315, "split_merge", "3/2/1/0", 214, 7.36, 4.0),
-        (6612, "shift_v", "1/4", 259, 0.22, 3.409090909090909),
-        (6911, "shift_h", "2/3", 112, 0.56, 4.0),
+        (911, "shift_v", "0/2", 41, 0.34, 2.174757281553398),
+        (1512, "shift_v", "0/2", 7, 0.78, 3.9411764705882355),
+        (2116, "shift_v", "0/2", 107, 0.54, 3.5728155339805827),
+        (2713, "split_merge", "0/1/4/2", 21, 4.92, 3.2058823529411766),
+        (3012, "shift_corner", "4/1", 48, 0.9400000000000001, 2.918032786885246),
+        (3315, "shift_h", "1/3", 216, 1.94, 3.627906976744186),
+        (3613, "shift_h", "3/1", 43, 0.6, 3.1242603550295858),
+        (3917, "shift_v", "4/0", 101, 0.26, 3.8823529411764706),
+        (4511, "shift_h", "3/1", 27, 0.6, 3.7837837837837838),
+        (4824, "shift_corner", "1/4", 30, 0.0, 3.324675324675325),
+        (5112, "shift_h", "1/0", 127, 0.06, 3.925925925925926),
+        (6317, "split_merge", "3/2/1/0", 185, 8.040000000000001, 4.0),
+        (6625, "shift_v", "1/4", 262, 0.46, 2.717948717948718),
+        (6916, "shift_h", "2/3", 132, 0.72, 4.0),
     ],
     alphas=[
-        4.0, 2.18978102189781, 2.217821782178218, 1.8666666666666667,
-        3.9402985074626864, 3.461139896373057, 3.5728155339805827, 3.088607594936709,
-        3.2058823529411766, 3.041322314049587, 3.625730994152047, 3.1242603550295858,
-        3.7777777777777777, 3.684848484848485, 3.7837837837837838, 3.324675324675325,
-        3.925925925925926, 4.0, 4.0, 4.0, 4.0, 3.409090909090909, 4.0,
+        4.0, 2.18978102189781, 2.174757281553398, 1.894736842105263, 3.9411764705882355,
+        3.461139896373057, 3.5728155339805827, 3.076923076923077, 3.2058823529411766,
+        2.918032786885246, 3.627906976744186, 3.1242603550295858, 3.8823529411764706,
+        3.6626506024096384, 3.7837837837837838, 3.324675324675325, 3.925925925925926,
+        4.0, 4.0, 4.0, 4.0, 2.717948717948718, 4.0,
     ],
     counters={
-        "candidates": 3026, "dropped_by_summary": 1, "forwarded_objects": 2399,
-        "no_candidate_objects": 755, "rebalance_count": 15,
+        "candidates": 3027, "dropped_by_summary": 1, "forwarded_objects": 2399,
+        "no_candidate_objects": 755, "rebalance_count": 16,
     },
 )
 
@@ -1396,38 +1495,38 @@ PER_PARTITION_DIGEST = dict(
 # routers, which shifts the delivery ticks, and with them the stats rounds'
 # windows and the later ops' figures; the matches are the same.
 PER_BLOCK_DIGEST = dict(
-    delivered_total=6876,
+    delivered_total=6889,
     sent={
-        "CellBatch": 17, "DataObject": 4377, "ForwardedTuple": 41,
+        "CellBatch": 17, "DataObject": 4385, "ForwardedTuple": 42,
         "KeywordForward": 387, "PartitionUpdate": 28, "Query": 745,
-        "RebalanceCommand": 308, "StatsReport": 110, "SummaryRefresh": 44,
+        "RebalanceCommand": 308, "StatsReport": 110, "SummaryRefresh": 40,
     },
     decisions=[
         (313, "shift_v", "2/0", 37, 2.06, 4.0),
         (610, "split_merge", "2/4/3/1", 39, 2.18, 2.1739130434782608),
-        (911, "shift_v", "0/2", 41, 0.34, 2.174757281553398),
-        (1513, "shift_v", "0/2", 14, 0.78, 3.9466666666666668),
-        (2113, "shift_v", "0/2", 107, 0.54, 3.519230769230769),
-        (2711, "split_merge", "0/1/4/2", 30, 4.98, 3.2653061224489797),
-        (3012, "shift_corner", "4/1", 48, 0.9400000000000001, 3.103448275862069),
-        (3312, "shift_h", "1/3", 216, 1.94, 3.606936416184971),
-        (3610, "shift_h", "3/1", 51, 0.6, 3.103030303030303),
-        (3912, "shift_v", "4/0", 101, 0.32, 4.0),
-        (4514, "shift_h", "3/1", 41, 0.54, 3.7866666666666666),
-        (4827, "shift_corner", "1/4", 30, 0.0, 3.4285714285714284),
-        (6313, "split_merge", "3/2/0/1", 293, 1.3, 4.0),
-        (6614, "shift_v", "0/4", 265, 0.1, 4.0),
+        (913, "shift_v", "0/2", 41, 0.34, 2.174757281553398),
+        (1513, "shift_v", "0/2", 10, 0.78, 3.9452054794520546),
+        (2112, "shift_v", "0/2", 108, 0.54, 3.588235294117647),
+        (2711, "split_merge", "0/1/2/4", 27, 5.2, 3.2432432432432434),
+        (3009, "shift_corner", "2/1", 47, 0.88, 3.150442477876106),
+        (3312, "shift_h", "1/3", 216, 1.94, 3.6491228070175437),
+        (3610, "shift_h", "3/1", 50, 0.6, 3.1463414634146343),
+        (3911, "shift_v", "2/0", 101, 0.14, 4.0),
+        (4511, "shift_h", "3/1", 40, 0.54, 3.789473684210526),
+        (4823, "shift_corner", "1/2", 31, 0.0, 3.3684210526315788),
+        (6312, "split_merge", "3/4/0/1", 278, 1.3, 4.0),
+        (6615, "shift_v", "0/2", 262, 0.22, 4.0),
     ],
     alphas=[
         4.0, 2.1739130434782608, 2.174757281553398, 1.878787878787879,
-        3.9466666666666668, 3.4554973821989527, 3.519230769230769, 3.142857142857143,
-        3.2653061224489797, 3.103448275862069, 3.606936416184971, 3.103030303030303,
-        4.0, 3.611428571428571, 3.7866666666666666, 3.4285714285714284,
-        3.955056179775281, 4.0, 4.0, 4.0, 4.0, 4.0,
+        3.9452054794520546, 3.443298969072165, 3.588235294117647, 3.0136986301369864,
+        3.2432432432432434, 3.150442477876106, 3.6491228070175437, 3.1463414634146343,
+        4.0, 3.615819209039548, 3.789473684210526, 3.3684210526315788,
+        3.9529411764705884, 4.0, 4.0, 4.0, 4.0, 4.0,
     ],
     counters={
-        "candidates": 3015, "dropped_by_summary": 111, "forwarded_objects": 2289,
-        "no_candidate_objects": 652, "rebalance_count": 14,
+        "candidates": 3020, "dropped_by_summary": 102, "forwarded_objects": 2298,
+        "no_candidate_objects": 661, "rebalance_count": 14,
     },
 )
 
