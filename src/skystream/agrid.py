@@ -480,13 +480,13 @@ class RoutingUnit:
     if its keywords meet the set of the block its cell lies in. A summary
     must never under-report: every keyword some live query attached in the
     block depends on has to be present, or objects get dropped and matches
-    silently lost. Refreshes, which the evaluator sends every 32nd cleaning
-    step (runtime), replace the partition's block sets, so every
-    registration is also held as a pending entry, with the block range of
-    the query's cells, until a refresh's per-origin watermark proves the
-    evaluator incorporated it; the gate
-    forwards on a keyword that either the block's set holds or a pending
-    entry whose range covers the block. Refreshes from a transfer
+    silently lost. Refreshes, which the evaluator sends on every
+    `runtime.REFRESH_STEPS`-th cleaning step, replace the partition's block
+    sets, so every registration is also held as a pending entry, with the
+    block range of the query's cells, until a refresh's per-origin
+    watermark proves the evaluator incorporated it; the gate forwards on a
+    keyword that either the block's set holds or a pending entry whose
+    range covers the block. Refreshes from a transfer
     destination are ignored until their epoch shows the absorbed cells (see
     runtime), and from premerge until then the destination's summary unions
     the source's, block by block. A partition that a map update retired

@@ -976,7 +976,7 @@ class TestRefreshSteps:
     @pytest.mark.parametrize("mode, evicted", [
         ("uniform", {0: 51, 1: 65, 2: 66, 3: 43}),
         ("broadcast", {0: 45, 1: 46, 2: 45, 3: 46}),
-    ])
+    ], ids=["uniform", "broadcast"])
     def test_modes_without_summaries_build_none(self, monkeypatch, mode, evicted):
         built = []
         gone: Counter = Counter()  # pid -> queries its cleaning steps evicted
