@@ -940,7 +940,7 @@ class TestRefreshSteps:
         log = self.periodic_refreshes(s)
         s.ingest_query(mk_q(1, (0, 0, 7, 7), ["tea"]))
         s.drain()
-        for k in range(120):  # one object into each partition
+        for k in range(120):  # each round sends one object into each partition
             s.ingest_object(mk_o(2 * k, (k % 2, k % 8), ["tea"], k))
             s.ingest_object(mk_o(2 * k + 1, (2 + k % 6, k % 8), ["tea"], k))
             if k % 10 == 9:
@@ -973,6 +973,8 @@ class TestRefreshSteps:
         assert log == [(name, rname, REFRESH_STEPS)
                        for name in ("e0", "e1") for rname in s.router_names]
 
+    # `evicted`: per evaluator, the queries its cleaning steps evict, which
+    # no refresh timing may move
     @pytest.mark.parametrize("mode, evicted", [
         ("uniform", {0: 51, 1: 65, 2: 66, 3: 43}),
         ("broadcast", {0: 45, 1: 46, 2: 45, 3: 46}),
